@@ -27,7 +27,9 @@ from .sturmian import (
     sturmian_word,
 )
 from .threeiet import (
+    ThreeIetParams,
     bound_check,
+    index_bounds,
     rotation_coding_image,
     threeiet_word,
     validate_params,
@@ -94,6 +96,15 @@ def _require(args, names: dict[str, str], kind: str):
         raise ParameterError(f"{kind} requires {', '.join(missing)}")
 
 
+def _threeiet_params(args, kind: str) -> ThreeIetParams:
+    _require(args, {"eps": "--eps", "ell": "--ell", "length": "-N"}, kind)
+    return validate_params(
+        _number(args.eps, "--eps"),
+        _number(args.ell, "--ell"),
+        _number(args.x0, "--x0"),
+    )
+
+
 def _fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
@@ -145,13 +156,7 @@ def _build_word(args) -> Word:
         )
         return rotation_word(params, args.length)
     if kind == "3iet":
-        _require(args, {"eps": "--eps", "ell": "--ell", "length": "-N"}, "generate 3iet")
-        params = validate_params(
-            _number(args.eps, "--eps"),
-            _number(args.ell, "--ell"),
-            _number(args.x0, "--x0"),
-        )
-        return threeiet_word(params, args.length)
+        return threeiet_word(_threeiet_params(args, "generate 3iet"), args.length)
     if kind == "characteristic":
         _require(args, {"cf": "--cf", "length": "-N"}, "generate characteristic")
         return characteristic_prefix(_cf_flag(args.cf), args.length)
@@ -248,23 +253,12 @@ def _verify_theorem3(args) -> tuple[dict, bool]:
 
 def _cmd_verify(args) -> int:
     if args.check == "abmp":
-        _require(args, {"eps": "--eps", "ell": "--ell", "length": "-N"}, "verify abmp")
-        params = validate_params(
-            _number(args.eps, "--eps"),
-            _number(args.ell, "--ell"),
-            _number(args.x0, "--x0"),
-        )
+        params = _threeiet_params(args, "verify abmp")
         projection = verify_projections(params, args.length, args.nmax or 10)
         report = {"check": "abmp", **projection.to_json_dict()}
         passed = projection.passed
     elif args.check == "bounds":
-        _require(args, {"eps": "--eps", "ell": "--ell", "length": "-N"}, "verify bounds")
-        params = validate_params(
-            _number(args.eps, "--eps"),
-            _number(args.ell, "--ell"),
-            _number(args.x0, "--x0"),
-        )
-        bound = bound_check(params, args.length)
+        bound = bound_check(_threeiet_params(args, "verify bounds"), args.length)
         report = {"check": "bounds", **bound.to_json_dict()}
         passed = bound.passed
     elif args.check == "blocks":
@@ -357,11 +351,7 @@ def _experiment_index_convergence(args) -> tuple[list[str], list[dict]]:
     if any(n < 1 for n in lengths):
         raise ParameterError("--lengths: entries must be >= 1")
     params = validate_params(eps, ell, x0)
-    cf = cf_expand(params.epsilon, 8)
-    if not cf.is_periodic:
-        raise ParameterError("the continued-fraction period of epsilon was not found")
-    largest, _ = cf.max_coefficient()
-    lower = largest // 2
+    _, lower, _ = index_bounds(params.epsilon)
     word = threeiet_word(params, max(lengths))
     header = ["length", "index", "index_decimal", "reached_lower"]
     rows = []

@@ -76,17 +76,6 @@ class QuadraticReal:
         self.d = d
         self.r = r
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_fraction(cls, value: Fraction | int) -> "QuadraticReal":
-        f = Fraction(value)
-        return cls(f.numerator, 0, 0, f.denominator)
-
-    @classmethod
-    def sqrt_of(cls, n: int) -> "QuadraticReal":
-        return cls(0, 1, n, 1)
-
     # -- predicates and conversions ----------------------------------------
 
     @property
@@ -429,7 +418,6 @@ class CFExpansion:
     terminated: bool = False
     preperiod: int | None = None
     period: tuple[int, ...] | None = None
-    source: QuadraticReal | None = None
 
     def __post_init__(self):
         if any(a < 1 for a in self.quotients):
@@ -476,9 +464,6 @@ class CFExpansion:
         raise InsufficientCoefficientsError(
             f"only {len(self.quotients)} coefficients known and no period"
         )
-
-    def coefficients(self, count: int) -> list[int]:
-        return [self.coefficient(n) for n in range(1, count + 1)]
 
     def max_coefficient(self) -> tuple[int, bool]:
         """(largest partial quotient, whether that is exact over all n)."""
@@ -559,10 +544,4 @@ def cf_expand(x: QuadraticReal, n_terms: int, max_states: int = 4096) -> CFExpan
         terminated=terminated,
         preperiod=preperiod,
         period=period,
-        source=x,
     )
-
-
-def convergents(cf: CFExpansion, n_max: int) -> list[tuple[int, int]]:
-    """Convergents (p_N, q_N) for N = 0..n_max of a continued fraction."""
-    return cf.convergents(n_max)

@@ -54,20 +54,48 @@ class SturmianParams:
         _require_unit_interval(self.x0, "x0", closed_left=True)
 
 
-def rotation_word(params: RotationParams, n_letters: int) -> Word:
-    """Letters u_i = 0 iff the fractional part of x0 + i*alpha lies in [0, beta)."""
+_LEFT_DOMAIN = "orbit left the domain; parameters are inconsistent"
+
+
+def _orbit_word(
+    x: QuadraticReal, pieces: tuple[tuple[QuadraticReal, str, QuadraticReal], ...], n_letters: int
+) -> str:
+    """Coding of the orbit of x under a piecewise translation of [0, end).
+
+    ``pieces`` holds (right_end, letter, translation) sorted by exact right
+    end, the last right end being the domain end ``end``; the piece of a
+    point is the first whose right end exceeds it.  Every point after x
+    is checked exactly to stay inside [0, end).
+    """
     if n_letters < 1:
         raise ParameterError("n_letters must be >= 1")
-    x = params.x0
-    alpha = params.alpha
-    beta = params.beta
     letters = []
     for _ in range(n_letters):
-        letters.append("0" if (x - beta).sign() < 0 else "1")
-        x = x + alpha
-        if (x - 1).sign() >= 0:
-            x = x - 1
-    return Word("".join(letters), BINARY)
+        for right, letter, shift in pieces:
+            if (x - right).sign() < 0:
+                break
+        else:
+            raise ArithmeticError(_LEFT_DOMAIN)
+        letters.append(letter)
+        x = x + shift
+        if x.sign() < 0:
+            raise ArithmeticError(_LEFT_DOMAIN)
+    if (x - pieces[-1][0]).sign() >= 0:
+        raise ArithmeticError(_LEFT_DOMAIN)
+    return "".join(letters)
+
+
+def rotation_word(params: RotationParams, n_letters: int) -> Word:
+    """Letters u_i = 0 iff the fractional part of x0 + i*alpha lies in [0, beta)."""
+    alpha, beta = params.alpha, params.beta
+    wrap = 1 - alpha
+    # The rotation translates [0, 1 - alpha) by alpha and the rest by
+    # alpha - 1; letter 0 codes [0, beta).
+    pieces = tuple(
+        (cut, "0" if cut <= beta else "1", alpha if cut <= wrap else alpha - 1)
+        for cut in sorted({beta, wrap, QuadraticReal(1)})
+    )
+    return Word(_orbit_word(params.x0, pieces, n_letters), BINARY)
 
 
 def sturmian_word(params: SturmianParams, n_letters: int) -> Word:
@@ -127,7 +155,6 @@ class IndexFormulaResult:
     terms: tuple[Fraction, ...]
     truncated_sup: Fraction
     sup_at: int
-    finite: bool
     largest_coefficient: int
     window_only: bool
     periodic_limit: QuadraticReal | None
@@ -138,7 +165,7 @@ class IndexFormulaResult:
             "truncated_sup_num": self.truncated_sup.numerator,
             "truncated_sup_den": self.truncated_sup.denominator,
             "sup_at": self.sup_at,
-            "finite": self.finite,
+            "finite": True,  # the window's coefficients are always bounded
             "largest_coefficient": self.largest_coefficient,
             "window_only": self.window_only,
             "periodic_limit": None if self.periodic_limit is None else str(self.periodic_limit),
@@ -194,7 +221,6 @@ def sturmian_index_formula(cf: CFExpansion, n_max: int) -> IndexFormulaResult:
         terms=tuple(terms),
         truncated_sup=truncated_sup,
         sup_at=sup_at,
-        finite=True,
         largest_coefficient=largest,
         window_only=not exact,
         periodic_limit=limit,

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .errors import ParameterError
 from .exactreal import QuadraticReal, cf_expand
 from .repetitions import word_index_estimate
-from .sturmian import RotationParams, rotation_word
+from .sturmian import RotationParams, _orbit_word, rotation_word
 from .words import (
     BINARY,
     SPLIT_B01,
@@ -43,11 +43,6 @@ class ThreeIetParams:
     def boundary_ab(self) -> QuadraticReal:
         """Left endpoint of I_B, which is ell - 1 + eps."""
         return self.ell - 1 + self.epsilon
-
-    @property
-    def boundary_bc(self) -> QuadraticReal:
-        """Left endpoint of I_C, which is eps."""
-        return self.epsilon
 
 
 def validate_params(
@@ -91,34 +86,14 @@ def step(params: ThreeIetParams, x: QuadraticReal) -> tuple[str, QuadraticReal]:
 
 
 def threeiet_word(params: ThreeIetParams, n_letters: int) -> Word:
-    """The ternary word coding the orbit of x0.
-
-    Equivalent to iterating ``step``, with the interval boundaries hoisted
-    out of the loop; every visited point is still checked to stay inside
-    [0, ell) by exact comparison.
-    """
-    if n_letters < 1:
-        raise ParameterError("n_letters must be >= 1")
+    """The ternary word coding the orbit of x0; equivalent to iterating ``step``."""
     eps = params.epsilon
-    ell = params.ell
-    b_ab = params.boundary_ab
-    jump_a = 1 - eps
-    jump_b = 1 - eps - eps
-    letters = []
-    x = params.x0
-    for _ in range(n_letters):
-        if (x - b_ab).sign() < 0:
-            letters.append("A")
-            x = x + jump_a
-        elif (x - eps).sign() < 0:
-            letters.append("B")
-            x = x + jump_b
-        else:
-            letters.append("C")
-            x = x - eps
-        if x.sign() < 0 or (x - ell).sign() >= 0:
-            raise ArithmeticError("orbit left the domain; parameters are inconsistent")
-    return Word("".join(letters), TERNARY)
+    pieces = (
+        (params.boundary_ab, "A", 1 - eps),
+        (eps, "B", 1 - eps - eps),
+        (params.ell, "C", -eps),
+    )
+    return Word(_orbit_word(params.x0, pieces, n_letters), TERNARY)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +198,8 @@ class ProjectionReport:
 
     The projections must recombine to the original word, certify as
     complexity n+1 and balanced (the finite-word certificates of being
-    Sturmian), and the B -> 01 projection must equal the rotation word
-    generated independently from the same parameters.
+    Sturmian), and the B -> 01 projection must equal the rotation word of
+    the same parameters, coded from the two rotation intervals.
     """
 
     prefix_length: int
@@ -340,19 +315,27 @@ class BoundReport:
         }
 
 
-def bound_check(params: ThreeIetParams, n_letters: int) -> BoundReport:
-    """Measure a prefix against the continued-fraction index bounds."""
-    cf = cf_expand(params.epsilon, 8)
+def index_bounds(epsilon: QuadraticReal) -> tuple[int, int, int]:
+    """(K, floor(K/2), K+3) for the largest partial quotient K of epsilon.
+
+    K is exact only over a detected periodic tail, so an expansion without
+    one is refused.
+    """
+    cf = cf_expand(epsilon, 8)
     if not cf.is_periodic:
         raise ParameterError(
             "the continued-fraction period of epsilon was not found; "
             "the largest coefficient would not be exact"
         )
     largest, _ = cf.max_coefficient()
+    return largest, largest // 2, largest + 3
+
+
+def bound_check(params: ThreeIetParams, n_letters: int) -> BoundReport:
+    """Measure a prefix against the continued-fraction index bounds."""
+    largest, lower, upper = index_bounds(params.epsilon)
     report = word_index_estimate(threeiet_word(params, n_letters))
     estimate = report.index_estimate
-    lower = largest // 2
-    upper = largest + 3
     return BoundReport(
         prefix_length=n_letters,
         largest_coefficient=largest,

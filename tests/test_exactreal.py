@@ -12,7 +12,7 @@ from ietlab.errors import (
     NumberParseError,
     ParameterError,
 )
-from ietlab.exactreal import CFExpansion, QuadraticReal, cf_expand, convergents, parse_quadratic
+from ietlab.exactreal import CFExpansion, QuadraticReal, cf_expand, parse_quadratic
 
 from oracles import mp_cf, mp_value
 
@@ -272,7 +272,7 @@ class TestConvergents:
 
     def test_zeroth_convention(self):
         cf = CFExpansion.from_quotients([4, 7])
-        assert convergents(cf, 0) == [(0, 1)]
+        assert cf.convergents(0) == [(0, 1)]
 
     def test_recurrence(self):
         cf = cf_expand(SQRT2_MINUS_1, 12)

@@ -61,6 +61,7 @@ class TestRotationWords:
             (QuadraticReal(3, -1, 5, 2), PHI_MINUS_1, ZERO),
             (SQRT2_MINUS_1, QuadraticReal(2, 0, 0, 3), QuadraticReal(1, 0, 0, 10)),
             (QuadraticReal(0, 1, 2, 2), QuadraticReal(3, 0, 0, 5), ZERO),
+            (SQRT2_MINUS_1, QuadraticReal(1, 0, 0, 3), ZERO),
         ]
         for alpha, beta, x0 in cases:
             params = RotationParams(alpha, beta, x0)
@@ -144,7 +145,7 @@ class TestIndexFormula:
         result = sturmian_index_formula(SQRT2_CF, 10)
         assert result.periodic_limit == QuadraticReal(3, 1, 2, 1)
         assert result.largest_coefficient == 2
-        assert result.finite and not result.window_only
+        assert result.to_json_dict()["finite"] and not result.window_only
 
     def test_window_only_flag(self):
         result = sturmian_index_formula(CFExpansion.from_quotients([1, 2, 1, 2]), 2)

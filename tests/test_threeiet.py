@@ -56,7 +56,6 @@ class TestValidation:
     def test_valid_parameters_and_intervals(self):
         params = GOLDEN
         assert params.boundary_ab == PHI_MINUS_1 - Fraction(1, 5)
-        assert params.boundary_bc == PHI_MINUS_1
 
     def test_ell_too_small(self):
         with pytest.raises(ParameterError, match="max"):
