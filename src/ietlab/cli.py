@@ -14,13 +14,20 @@ import sys
 from fractions import Fraction
 
 from .errors import BlockParseError, InsufficientCoefficientsError, ParameterError
-from .exactreal import CFExpansion, QuadraticReal, cf_expand, parse_quadratic
+from .exactreal import (
+    CFExpansion,
+    QuadraticReal,
+    cf_expand,
+    parse_quadratic,
+    require_same_field,
+)
 from .repetitions import brute_force_index, word_index_estimate
 from .sturmian import (
     RotationParams,
     SturmianParams,
     block_decompose,
     characteristic_prefix,
+    require_length,
     rotation_word,
     standard_word,
     sturmian_index_formula,
@@ -96,9 +103,17 @@ def _require(args, names: dict[str, str], kind: str):
         raise ParameterError(f"{kind} requires {', '.join(missing)}")
 
 
+def _validate_flags(
+    eps: QuadraticReal, ell: QuadraticReal, x0: QuadraticReal
+) -> ThreeIetParams:
+    """``validate_params``, naming the flags of a field mismatch."""
+    require_same_field(("--eps", eps), ("--ell", ell), ("--x0", x0))
+    return validate_params(eps, ell, x0)
+
+
 def _threeiet_params(args, kind: str) -> ThreeIetParams:
     _require(args, {"eps": "--eps", "ell": "--ell", "length": "-N"}, kind)
-    return validate_params(
+    return _validate_flags(
         _number(args.eps, "--eps"),
         _number(args.ell, "--ell"),
         _number(args.x0, "--x0"),
@@ -145,16 +160,17 @@ def _build_word(args) -> Word:
     kind = args.kind
     if kind == "sturmian":
         _require(args, {"eps": "--eps", "length": "-N"}, "generate sturmian")
-        params = SturmianParams(_number(args.eps, "--eps"), _number(args.x0, "--x0"))
-        return sturmian_word(params, args.length)
+        eps = _number(args.eps, "--eps")
+        x0 = _number(args.x0, "--x0")
+        require_same_field(("--eps", eps), ("--x0", x0))
+        return sturmian_word(SturmianParams(eps, x0), args.length)
     if kind == "rotation":
         _require(args, {"alpha": "--alpha", "beta": "--beta", "length": "-N"}, "generate rotation")
-        params = RotationParams(
-            _number(args.alpha, "--alpha"),
-            _number(args.beta, "--beta"),
-            _number(args.x0, "--x0"),
-        )
-        return rotation_word(params, args.length)
+        alpha = _number(args.alpha, "--alpha")
+        beta = _number(args.beta, "--beta")
+        x0 = _number(args.x0, "--x0")
+        require_same_field(("--alpha", alpha), ("--beta", beta), ("--x0", x0))
+        return rotation_word(RotationParams(alpha, beta, x0), args.length)
     if kind == "3iet":
         return threeiet_word(_threeiet_params(args, "generate 3iet"), args.length)
     if kind == "characteristic":
@@ -286,7 +302,7 @@ def _experiment_ell_sweep(args) -> tuple[list[str], list[dict]]:
     eps = _number(args.eps, "--eps")
     ells = _number_list(args.ell, "--ell")
     x0 = _number(args.x0, "--x0")
-    grid = [validate_params(eps, ell, x0) for ell in ells]
+    grid = [_validate_flags(eps, ell, x0) for ell in ells]
     header = [
         "ell", "ell_decimal",
         "b_frequency", "b_frequency_decimal",
@@ -317,7 +333,7 @@ def _experiment_bounds_grid(args) -> tuple[list[str], list[dict]]:
     eps_values = _number_list(args.eps, "--eps")
     ells = _number_list(args.ell, "--ell")
     x0 = _number(args.x0, "--x0")
-    grid = [validate_params(eps, ell, x0) for eps in eps_values for ell in ells]
+    grid = [_validate_flags(eps, ell, x0) for eps in eps_values for ell in ells]
     header = [
         "eps", "ell", "largest_coefficient", "lower", "upper",
         "index", "index_decimal", "max_integer_power",
@@ -348,9 +364,9 @@ def _experiment_index_convergence(args) -> tuple[list[str], list[dict]]:
     ell = _number(args.ell, "--ell")
     x0 = _number(args.x0, "--x0")
     lengths = _int_list(args.lengths, "--lengths")
-    if any(n < 1 for n in lengths):
-        raise ParameterError("--lengths: entries must be >= 1")
-    params = validate_params(eps, ell, x0)
+    for n in lengths:
+        require_length(n, "--lengths")
+    params = _validate_flags(eps, ell, x0)
     _, lower, _ = index_bounds(params.epsilon)
     word = threeiet_word(params, max(lengths))
     header = ["length", "index", "index_decimal", "reached_lower"]
@@ -436,6 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.length is not None:
+            require_length(args.length, "-N")
         return args.handler(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

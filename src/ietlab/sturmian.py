@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BlockParseError, InsufficientCoefficientsError, ParameterError
-from .exactreal import CFExpansion, QuadraticReal
+from .exactreal import CFExpansion, QuadraticReal, require_same_field
 from .words import BINARY, Word
 
 
@@ -35,6 +37,7 @@ class RotationParams:
     def __post_init__(self):
         if self.alpha.is_rational:
             raise ParameterError("alpha must be irrational")
+        require_same_field(("alpha", self.alpha), ("beta", self.beta), ("x0", self.x0))
         _require_unit_interval(self.alpha, "alpha", closed_left=False)
         _require_unit_interval(self.beta, "beta", closed_left=False)
         _require_unit_interval(self.x0, "x0", closed_left=True)
@@ -50,52 +53,97 @@ class SturmianParams:
     def __post_init__(self):
         if self.epsilon.is_rational:
             raise ParameterError("epsilon must be irrational")
+        require_same_field(("epsilon", self.epsilon), ("x0", self.x0))
         _require_unit_interval(self.epsilon, "epsilon", closed_left=False)
         _require_unit_interval(self.x0, "x0", closed_left=True)
 
 
-_LEFT_DOMAIN = "orbit left the domain; parameters are inconsistent"
+# Longest prefix the orbit coder writes.  A 3iet letter takes at most two
+# rotation steps, so every rotation index stays below 2**32 (see _orbit_word).
+MAX_LETTERS = 2**31
+# Rotation indices per numpy block.
+_BLOCK = 2**15
+
+
+def require_length(n_letters: int, name: str = "n_letters") -> None:
+    """Refuse a prefix length outside [1, MAX_LETTERS], naming it."""
+    if n_letters < 1:
+        raise ParameterError(f"{name}: must be >= 1 (got {n_letters})")
+    if n_letters > MAX_LETTERS:
+        raise ParameterError(f"{name}: must be <= {MAX_LETTERS} (got {n_letters})")
+
+
+def _exact_piece(
+    x0: QuadraticReal, alpha: QuadraticReal, m: int, ends: tuple[QuadraticReal, ...]
+) -> int:
+    """Index of the first right end exceeding fract(x0 + m*alpha), exactly."""
+    y = (x0 + m * alpha).fract()
+    return next(i for i, end in enumerate(ends) if (y - end).sign() < 0)
 
 
 def _orbit_word(
-    x: QuadraticReal, pieces: tuple[tuple[QuadraticReal, str, QuadraticReal], ...], n_letters: int
+    x0: QuadraticReal,
+    alpha: QuadraticReal,
+    cuts: tuple[tuple[QuadraticReal, str | None], ...],
+    n_letters: int,
 ) -> str:
-    """Coding of the orbit of x under a piecewise translation of [0, end).
+    """Letters of the intervals visited by y_m = fract(x0 + m*alpha), m = 0, 1, ...
 
-    ``pieces`` holds (right_end, letter, translation) sorted by exact right
-    end, the last right end being the domain end ``end``; the piece of a
-    point is the first whose right end exceeds it.  Every point after x
-    is checked exactly to stay inside [0, end).
+    ``cuts`` holds (right_end, letter) sorted by exact right end, the last
+    right end being 1; the interval of y is the first whose right end
+    exceeds it, and the letter None deletes that interval's visits.
+
+    Each block of indices is coded in float64 and every y_m the float filter
+    cannot certify is coded exactly.  The filter's proof: x0, alpha and the
+    cuts lie in [0, 1] and convert within 2^-52 (``QuadraticReal.__float__``);
+    m < 2**53 is exact and a float operation adds at most 2^-53 relative
+    error.  So s = fl(fl(x0) + fl(m*fl(alpha))) differs from x0 + m*alpha by
+    at most 2^-52 (x0) + m*2^-52 (alpha) + m*2^-53 (product)
+    + (m+1)*2^-53 (sum) = (4m+3)*2^-53 < E = (m+1)*2^-51.  s - floor(s) is
+    exact.  If y = s - floor(s) is more than E from 0 and from 1, then s is
+    more than E from every integer, so floor(s) = floor(x0 + m*alpha) and
+    |y - y_m| <= E.  A float cut is within 2^-52 of its exact cut, so a y
+    more than delta = (m+2)*2^-50 >= E + 2^-52 from 0, from 1 and from every
+    float cut lies on the same side of every exact cut as y_m.  Rounding is
+    monotone, so a float difference above delta is an exact difference
+    above delta.  Float cuts keep the exact order, so the two cuts around y
+    (0 and 1 included) are the nearest ones.  Indices stay below 2**32
+    (delta < 2^-17), which keeps every step of the proof valid.
     """
-    if n_letters < 1:
-        raise ParameterError("n_letters must be >= 1")
-    letters = []
-    for _ in range(n_letters):
-        for right, letter, shift in pieces:
-            if (x - right).sign() < 0:
-                break
-        else:
-            raise ArithmeticError(_LEFT_DOMAIN)
-        letters.append(letter)
-        x = x + shift
-        if x.sign() < 0:
-            raise ArithmeticError(_LEFT_DOMAIN)
-    if (x - pieces[-1][0]).sign() >= 0:
-        raise ArithmeticError(_LEFT_DOMAIN)
-    return "".join(letters)
+    require_length(n_letters)
+    ends = tuple(end for end, _ in cuts)
+    upper = np.array([float(end) for end in ends])
+    lower = np.concatenate(([0.0], upper[:-1]))
+    codes = np.array([ord(letter or "\0") for _, letter in cuts], dtype=np.uint8)
+    x, a = float(x0), float(alpha)
+    out = np.empty(n_letters, dtype=np.uint8)
+    filled = m = 0
+    while filled < n_letters:
+        # Every index yields at most one letter, so the block never overfills.
+        size = min(_BLOCK, n_letters - filled)
+        if m + size > 2 * MAX_LETTERS:
+            raise ParameterError("the orbit needs rotation indices beyond 2**32")
+        y = np.arange(m, m + size, dtype=np.float64)
+        y *= a
+        y += x
+        y -= np.floor(y)
+        piece = np.searchsorted(upper, y, side="right")
+        delta = (m + size + 1) * 2.0**-50
+        near = np.flatnonzero((y - lower[piece] <= delta) | (upper[piece] - y <= delta))
+        for j in near.tolist():
+            piece[j] = _exact_piece(x0, alpha, m + j, ends)
+        letters = codes[piece]
+        letters = letters[letters != 0]
+        out[filled : filled + len(letters)] = letters
+        filled += len(letters)
+        m += size
+    return out.tobytes().decode("ascii")
 
 
 def rotation_word(params: RotationParams, n_letters: int) -> Word:
     """Letters u_i = 0 iff the fractional part of x0 + i*alpha lies in [0, beta)."""
-    alpha, beta = params.alpha, params.beta
-    wrap = 1 - alpha
-    # The rotation translates [0, 1 - alpha) by alpha and the rest by
-    # alpha - 1; letter 0 codes [0, beta).
-    pieces = tuple(
-        (cut, "0" if cut <= beta else "1", alpha if cut <= wrap else alpha - 1)
-        for cut in sorted({beta, wrap, QuadraticReal(1)})
-    )
-    return Word(_orbit_word(params.x0, pieces, n_letters), BINARY)
+    cuts = ((params.beta, "0"), (QuadraticReal(1), "1"))
+    return Word(_orbit_word(params.x0, params.alpha, cuts, n_letters), BINARY)
 
 
 def sturmian_word(params: SturmianParams, n_letters: int) -> Word:
@@ -128,8 +176,7 @@ def characteristic_prefix(cf: CFExpansion, n_letters: int) -> Word:
     Any s_m of length >= n has the same prefix (prefix stability of the
     recursion).
     """
-    if n_letters < 1:
-        raise ParameterError("n_letters must be >= 1")
+    require_length(n_letters)
     prev, cur = "0", "0" * (cf.coefficient(1) - 1) + "1"
     n = 1
     while len(cur) < n_letters:

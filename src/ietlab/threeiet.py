@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError
-from .exactreal import QuadraticReal, cf_expand
+from .exactreal import QuadraticReal, cf_expand, require_same_field
 from .repetitions import word_index_estimate
 from .sturmian import RotationParams, _orbit_word, rotation_word
 from .words import (
@@ -49,6 +49,7 @@ def validate_params(
     epsilon: QuadraticReal, ell: QuadraticReal, x0: QuadraticReal
 ) -> ThreeIetParams:
     """Check the parameter constraints and package the triple."""
+    require_same_field(("epsilon", epsilon), ("ell", ell), ("x0", x0))
     if epsilon.is_rational:
         raise ParameterError("epsilon must be irrational (nonzero square-root part)")
     if not (epsilon.sign() > 0 and (epsilon - 1).sign() < 0):
@@ -86,14 +87,21 @@ def step(params: ThreeIetParams, x: QuadraticReal) -> tuple[str, QuadraticReal]:
 
 
 def threeiet_word(params: ThreeIetParams, n_letters: int) -> Word:
-    """The ternary word coding the orbit of x0; equivalent to iterating ``step``."""
+    """The ternary word coding the orbit of x0; equivalent to iterating ``step``.
+
+    The exchange is the map induced on [0, ell) by the rotation
+    y -> y + 1 - eps (mod 1): A and C return after one rotation step, and B
+    after two, passing once through [ell, 1).  So the word is the coding of
+    that rotation's orbit with the visits to [ell, 1) deleted.
+    """
     eps = params.epsilon
-    pieces = (
-        (params.boundary_ab, "A", 1 - eps),
-        (eps, "B", 1 - eps - eps),
-        (params.ell, "C", -eps),
+    cuts = (
+        (params.boundary_ab, "A"),
+        (eps, "B"),
+        (params.ell, "C"),
+        (QuadraticReal(1), None),
     )
-    return Word(_orbit_word(params.x0, pieces, n_letters), TERNARY)
+    return Word(_orbit_word(params.x0, 1 - eps, cuts, n_letters), TERNARY)
 
 
 # ---------------------------------------------------------------------------

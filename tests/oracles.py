@@ -9,6 +9,8 @@ from fractions import Fraction
 
 from mpmath import mp, mpf, sqrt
 
+from ietlab.exactreal import QuadraticReal
+
 mp.dps = 60
 
 
@@ -32,6 +34,48 @@ def mp_cf(value, n_terms):
         if x < mpf(10) ** (-40):
             break
     return out
+
+
+def sequential_orbit_word(x, pieces, n_letters):
+    """Coding of the orbit of x under a piecewise translation, one exact step
+    per letter.
+
+    ``pieces`` holds (right_end, letter, translation) sorted by exact right
+    end, the last right end being the domain end; the piece of a point is
+    the first whose right end exceeds it.  Every visited point is checked
+    exactly to stay inside the domain.
+    """
+    letters = []
+    for _ in range(n_letters):
+        for right, letter, shift in pieces:
+            if (x - right).sign() < 0:
+                break
+        else:
+            raise ArithmeticError("orbit left the domain")
+        letters.append(letter)
+        x = x + shift
+        if x.sign() < 0:
+            raise ArithmeticError("orbit left the domain")
+    return "".join(letters)
+
+
+def rotation_pieces(alpha, beta):
+    """Pieces of the rotation by alpha on [0, 1); letter 0 codes [0, beta)."""
+    wrap = 1 - alpha
+    return tuple(
+        (cut, "0" if cut <= beta else "1", alpha if cut <= wrap else alpha - 1)
+        for cut in sorted({beta, wrap, QuadraticReal(1)})
+    )
+
+
+def threeiet_pieces(params):
+    """Pieces of the three-interval exchange on [0, ell)."""
+    eps = params.epsilon
+    return (
+        (params.ell - 1 + eps, "A", 1 - eps),
+        (eps, "B", 1 - eps - eps),
+        (params.ell, "C", -eps),
+    )
 
 
 def naive_index(text):

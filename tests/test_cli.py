@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -53,6 +54,36 @@ class TestGenerate:
                            "--ell", "4/5", "-N", "7")
         assert code == 2
         assert "position" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("rotation", "--alpha", SILVER_EPS, "--beta", "(1+1*sqrt(3))/4"),
+         "--alpha and --beta lie in different quadratic fields (sqrt(2), sqrt(3))"),
+        (("sturmian", "--eps", GOLDEN_EPS, "--x0", SILVER_EPS),
+         "--eps and --x0 lie in different quadratic fields (sqrt(5), sqrt(2))"),
+        (("3iet", "--eps", GOLDEN_EPS, "--ell", "(1+1*sqrt(2))/3"),
+         "--eps and --ell lie in different quadratic fields (sqrt(5), sqrt(2))"),
+    ])
+    def test_field_mismatch_names_flags(self, capsys, argv, message):
+        code, out, err = run(capsys, "generate", *argv, "-N", "5")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("length, message", [
+        ("0", "-N: must be >= 1 (got 0)"),
+        ("2147483649", "-N: must be <= 2147483648 (got 2147483649)"),
+    ])
+    def test_length_out_of_range_names_flag(self, capsys, length, message):
+        code, out, err = run(capsys, "generate", "3iet", "--eps", GOLDEN_EPS,
+                             "--ell", "4/5", "-N", length)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_huge_radicand_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "generate", "3iet", "--eps",
+                             "(-1+1*sqrt(1000000000000000000000000000057))/2",
+                             "--ell", "9/10", "-N", "5")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: --eps: radicand") and "cannot be certified" in err
 
     def test_missing_flag(self, capsys):
         code, _, err = run(capsys, "generate", "3iet", "--eps", GOLDEN_EPS, "-N", "7")

@@ -110,6 +110,23 @@ class TestArithmetic:
             if not b.is_zero():
                 assert abs(mp_value(a / b) - (mp_value(a) / mp_value(b))) < 1e-38
 
+    def test_square_parts_of_radicands(self):
+        big = 1000003  # a prime above the trial-division bound
+        cases = {
+            12: (2, 3),
+            72: (6, 2),
+            2 * big * big: (big, 2),
+            big * 1000033: (1, big * 1000033),
+        }
+        for d, (q, core) in cases.items():
+            x = QuadraticReal(0, 1, d, 1)
+            assert (x.p, x.q, x.d, x.r) == (0, q, core, 1)
+        assert QuadraticReal(0, 1, big * big, 1) == QuadraticReal(big)
+
+    def test_uncertifiable_radicand_refused(self):
+        with pytest.raises(ParameterError, match="cannot be certified"):
+            QuadraticReal(0, 1, 10**30 + 57, 1)
+
     def test_canonicalization_idempotent(self):
         rng = random.Random(13)
         for _ in range(300):

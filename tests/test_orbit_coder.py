@@ -1,0 +1,158 @@
+"""The block orbit coder against the sequential exact coder and exact fract."""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from ietlab import sturmian
+from ietlab.errors import ParameterError
+from ietlab.exactreal import QuadraticReal
+from ietlab.sturmian import MAX_LETTERS, RotationParams, rotation_word
+from ietlab.threeiet import threeiet_word, validate_params
+
+from oracles import rotation_pieces, sequential_orbit_word, threeiet_pieces
+
+SQRT2_MINUS_1 = QuadraticReal(-1, 1, 2, 1)
+PHI_MINUS_1 = QuadraticReal(-1, 1, 5, 2)
+GOLDEN = validate_params(PHI_MINUS_1, QuadraticReal(4, 0, 0, 5), QuadraticReal(0))
+
+
+@pytest.fixture
+def rechecked(monkeypatch):
+    """Rotation indices the coder decided exactly, in call order."""
+    indices = []
+    original = sturmian._exact_piece
+
+    def counting(x0, alpha, m, ends):
+        indices.append(m)
+        return original(x0, alpha, m, ends)
+
+    monkeypatch.setattr(sturmian, "_exact_piece", counting)
+    return indices
+
+
+class TestExactTies:
+    def test_rotation_cut_hit_at_index_five(self, rechecked):
+        x0 = QuadraticReal(1, 0, 0, 10)
+        beta = (x0 + 5 * SQRT2_MINUS_1).fract()
+        word = rotation_word(RotationParams(SQRT2_MINUS_1, beta, x0), 500)
+        assert 5 in rechecked
+        assert word.text[5] == "1"  # y_5 = beta lies in [beta, 1)
+        expected = sequential_orbit_word(x0, rotation_pieces(SQRT2_MINUS_1, beta), 500)
+        assert word.text == expected
+
+    @pytest.mark.parametrize("start", ["boundary_ab", "epsilon"])
+    def test_threeiet_started_on_a_cut(self, rechecked, start):
+        params = validate_params(GOLDEN.epsilon, GOLDEN.ell, getattr(GOLDEN, start))
+        word = threeiet_word(params, 500)
+        assert 0 in rechecked
+        assert word.text == sequential_orbit_word(params.x0, threeiet_pieces(params), 500)
+
+
+RADICANDS = (2, 3, 5, 6, 7, 13)
+
+
+@st.composite
+def irrationals(draw, d):
+    """An irrational value in (0, 1) of the field Q(sqrt(d))."""
+    q = draw(st.integers(1, 30)) * draw(st.sampled_from((1, -1)))
+    return QuadraticReal(draw(st.integers(-60, 60)), q, d, draw(st.integers(1, 40))).fract()
+
+
+@st.composite
+def unit_fractions(draw):
+    """A rational in (0, 1)."""
+    den = draw(st.integers(2, 97))
+    return QuadraticReal(draw(st.integers(1, den - 1)), 0, 0, den)
+
+
+@st.composite
+def rotations(draw):
+    """(alpha, beta, x0, n) with beta below, at or above 1 - alpha."""
+    d = draw(st.sampled_from(RADICANDS))
+    alpha = draw(irrationals(d))
+    wrap = 1 - alpha
+    t = draw(unit_fractions())
+    order = draw(st.sampled_from(("below", "equal", "above")))
+    beta = {"below": wrap * t, "equal": wrap, "above": wrap + alpha * t}[order]
+    n = draw(st.integers(1, 3000))
+    start = draw(st.sampled_from(("rational", "irrational", "tie")))
+    if start == "rational":
+        x0 = draw(unit_fractions())
+    elif start == "irrational":
+        x0 = draw(irrationals(d))
+    else:  # the orbit hits beta exactly at index k
+        x0 = (beta - draw(st.integers(0, n - 1)) * alpha).fract()
+    return alpha, beta, x0, n
+
+
+@st.composite
+def exchanges(draw):
+    """Valid 3iet parameters, sometimes started on a preimage of a cut."""
+    eps = draw(irrationals(draw(st.sampled_from(RADICANDS))))
+    larger = eps if eps > 1 - eps else 1 - eps
+    ell = larger + (1 - larger) * draw(unit_fractions())
+    n = draw(st.integers(1, 3000))
+    if draw(st.booleans()):
+        x0 = ell * draw(unit_fractions())
+    else:
+        cut = draw(st.sampled_from((ell - 1 + eps, eps, ell)))
+        x0 = (cut - draw(st.integers(0, n - 1)) * (1 - eps)).fract()
+        assume((x0 - ell).sign() < 0)
+    return validate_params(eps, ell, x0), n
+
+
+PROPERTY = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+
+
+@PROPERTY
+@given(rotations())
+def test_rotation_matches_sequential_coder(case):
+    alpha, beta, x0, n = case
+    word = rotation_word(RotationParams(alpha, beta, x0), n)
+    assert word.text == sequential_orbit_word(x0, rotation_pieces(alpha, beta), n)
+
+
+@PROPERTY
+@given(exchanges())
+def test_threeiet_matches_sequential_coder(case):
+    params, n = case
+    word = threeiet_word(params, n)
+    assert word.text == sequential_orbit_word(params.x0, threeiet_pieces(params), n)
+
+
+class TestLargeIndices:
+    N = 10**6
+
+    def test_rotation_letters_from_exact_fract(self):
+        alpha, beta, x0 = SQRT2_MINUS_1, QuadraticReal(1, 0, 0, 3), QuadraticReal(1, 0, 0, 10)
+        text = rotation_word(RotationParams(alpha, beta, x0), self.N).text
+        rng = random.Random(2024)
+        for i in rng.sample(range(self.N), 2000):
+            below = ((x0 + i * alpha).fract() - beta).sign() < 0
+            assert text[i] == ("0" if below else "1"), i
+
+    def test_threeiet_letters_from_exact_fract(self):
+        # Letter i is coded at rotation index i + (number of B before i).
+        text = threeiet_word(GOLDEN, self.N).text
+        codes = np.frombuffer(text.encode(), dtype=np.uint8)
+        b_before = np.concatenate(([0], np.cumsum(codes == ord("B"))))
+        alpha = 1 - GOLDEN.epsilon
+        ends = (GOLDEN.boundary_ab, GOLDEN.epsilon, GOLDEN.ell)
+        rng = random.Random(2025)
+        for i in rng.sample(range(self.N), 2000):
+            y = (GOLDEN.x0 + (i + int(b_before[i])) * alpha).fract()
+            letter = next(c for c, end in zip("ABC", ends) if (y - end).sign() < 0)
+            assert text[i] == letter, i
+
+
+def test_length_limits_are_refused():
+    params = RotationParams(SQRT2_MINUS_1, QuadraticReal(1, 0, 0, 3), QuadraticReal(0))
+    with pytest.raises(ParameterError, match=r"must be >= 1 \(got 0\)"):
+        rotation_word(params, 0)
+    with pytest.raises(ParameterError, match=rf"must be <= {MAX_LETTERS}"):
+        threeiet_word(GOLDEN, MAX_LETTERS + 1)

@@ -74,6 +74,10 @@ class TestRotationWords:
             RotationParams(SQRT2_MINUS_1, QuadraticReal(1), ZERO)
         with pytest.raises(ParameterError):
             RotationParams(SQRT2_MINUS_1, PHI_MINUS_1, QuadraticReal(1))
+        with pytest.raises(ParameterError, match=r"alpha and beta .* \(sqrt\(2\), sqrt\(5\)\)"):
+            RotationParams(SQRT2_MINUS_1, PHI_MINUS_1, ZERO)
+        with pytest.raises(ParameterError, match=r"epsilon and x0 .* \(sqrt\(5\), sqrt\(2\)\)"):
+            SturmianParams(PHI_MINUS_1, SQRT2_MINUS_1)
 
     def test_sturmian_certificates(self):
         word = sturmian_word(SturmianParams(PHI_MINUS_1, ZERO), 1000)

@@ -69,6 +69,10 @@ class TestValidation:
         with pytest.raises(ParameterError, match="irrational"):
             validate_params(QuadraticReal(2, 0, 0, 5), QuadraticReal(4, 0, 0, 5), ZERO)
 
+    def test_fields_must_agree(self):
+        with pytest.raises(ParameterError, match=r"epsilon and ell .* \(sqrt\(5\), sqrt\(2\)\)"):
+            validate_params(PHI_MINUS_1, QuadraticReal(1, 1, 2, 3), ZERO)
+
     def test_x0_outside_domain(self):
         with pytest.raises(ParameterError, match="x0"):
             validate_params(PHI_MINUS_1, QuadraticReal(4, 0, 0, 5), QuadraticReal(9, 0, 0, 10))
