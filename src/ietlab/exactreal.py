@@ -6,12 +6,13 @@ kept in a canonical form so that equal values have identical fields:
   * r > 0 and gcd(p, q, r) == 1,
   * d is square-free, and d == q == 0 whenever the value is rational.
 
-All comparisons are decided by integer sign analysis; decimal estimates are
-used only to bracket floors, never to decide anything.
+All comparisons are decided by integer sign analysis; integer square-root
+estimates are used only to bracket floors, never to decide anything.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -24,15 +25,14 @@ from .errors import (
     ParameterError,
 )
 
-# 40 guard digits for the floor estimate; exact comparison corrects any slack.
-_FLOOR_SCALE = 10 ** 40
-
-
 # Trial division stops here; a cofactor below the cube of this bound is
 # certified square-free without knowing its factors.
 _TRIAL_BOUND = 10 ** 6
 
 
+# Memoized: every arithmetic result is rebuilt through here with the same
+# radicand, and a prime radicand near 10^12 costs about 0.1 s of trial division.
+@functools.lru_cache(maxsize=64)
 def _squarefree_split(d: int) -> tuple[int, int]:
     """Write d = s*s*d0 with d0 square-free and return (s, d0).
 
@@ -255,12 +255,17 @@ class QuadraticReal:
     # -- floor / fractional part ---------------------------------------------
 
     def floor(self) -> int:
-        """Exact floor: a decimal estimate brackets, exact comparison decides."""
+        """Exact floor: an integer estimate off by at most one, corrected by
+        exact comparison.
+
+        root = floor(|q|*sqrt(d)) is exact, so p + q*sqrt(d) lies in
+        [p + root, p + root + 1) for q > 0 and in (p - root - 1, p - root]
+        for q < 0; dividing by r > 0 moves the floor by at most one.
+        """
         if self.q == 0:
             return self.p // self.r
-        approx_root = math.isqrt(self.d * _FLOOR_SCALE * _FLOOR_SCALE)
-        num = self.p * _FLOOR_SCALE + self.q * approx_root
-        est = num // (self.r * _FLOOR_SCALE)
+        root = math.isqrt(self.q * self.q * self.d)
+        est = (self.p + (root if self.q > 0 else -root)) // self.r
         while (self - est).sign() < 0:
             est -= 1
         while (self - (est + 1)).sign() >= 0:

@@ -4,10 +4,15 @@ The fractional repetition index of a finite word is the largest ratio
 (extension length) / period over all start positions and periods, where the
 extension is the longest stretch on which the word agrees with its own
 shift by the period.  The main path finds all maximal segments of exponent
-at least 2 with a suffix-array based scan (anchored position pairs plus
-constant-time longest-common-extension queries), and falls back to a direct
-per-period sweep when no such segment exists; ``brute_force_index`` is an
-independent reference implementation kept deliberately naive.
+at least 2 (runs) from their Lyndon roots, as in the Runs Theorem: one
+prefix-doubling pass ranks every window of length 2^k, its last round
+orders the suffixes, a next-smaller and a next-greater pass over that order
+give one candidate period per position and letter order, and two
+longest-common-extension queries per candidate, answered from the saved
+rounds by binary lifting, turn it into a run or reject it.  That is at
+most 2n candidates and O(n log n) memory.  When no run exists a
+direct per-period sweep decides; ``brute_force_index`` is an independent
+reference implementation kept deliberately naive.
 """
 
 from __future__ import annotations
@@ -71,129 +76,140 @@ class IndexReport:
 
 
 # ---------------------------------------------------------------------------
-# suffix array / LCE machinery
+# runs engine: doubling ranks, binary-lifting LCE, Lyndon roots
 # ---------------------------------------------------------------------------
 
-def _suffix_array(codes: np.ndarray) -> np.ndarray:
-    """Suffix array by prefix doubling over numpy lexsort."""
+def _doubling_ranks(codes: np.ndarray) -> list[np.ndarray]:
+    """Round k ranks every window text[i:i+2^k] in lexicographic order, with
+    end-of-text below every letter, so equal ranks mean equal windows inside
+    the text.  Each int32 array ends with a -1 at index n that equals no
+    rank.  Round k+1 ranks (rank at i, rank at i + 2^k) by the key
+    rank * span + next + 1: the key itself while it fits in int32, else its
+    dense rank.  Doubling stops once all windows differ, so the last round
+    orders the suffixes (an inverse suffix array up to relabelling).
+    """
     n = codes.size
-    rank = np.unique(codes, return_inverse=True)[1].astype(np.int64)
-    k = 1
-    while True:
-        key2 = np.full(n, -1, dtype=np.int64)
-        if k < n:
-            key2[: n - k] = rank[k:]
-        order = np.lexsort((key2, rank))
-        r1 = rank[order]
-        r2 = key2[order]
-        changed = np.empty(n, dtype=np.int64)
-        changed[0] = 0
-        if n > 1:
-            changed[1:] = ((r1[1:] != r1[:-1]) | (r2[1:] != r2[:-1])).cumsum()
-        if changed[-1] == n - 1:
-            return order
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = changed
-        k *= 2
-
-
-def _lcp_array(text: str, sa: list[int]) -> tuple[list[int], list[int]]:
-    """Kasai construction; lcp[i] = lcp(suffix sa[i-1], suffix sa[i])."""
-    n = len(text)
-    rank = [0] * n
-    for i, s in enumerate(sa):
-        rank[s] = i
-    lcp = [0] * n
-    h = 0
-    for i in range(n):
-        ri = rank[i]
-        if ri > 0:
-            j = sa[ri - 1]
-            while i + h < n and j + h < n and text[i + h] == text[j + h]:
-                h += 1
-            lcp[ri] = h
-            if h:
-                h -= 1
+    present = np.bincount(codes, minlength=256) > 0
+    rank = np.empty(n + 1, dtype=np.int32)
+    rank[n] = -1
+    rank[:n] = (np.cumsum(present) - 1)[codes]
+    top = int(present.sum()) - 1  # an upper bound of the ranks
+    distinct = top + 1  # counted only when ranks are made dense
+    rounds = [rank]
+    h = 1
+    while h < n and distinct < n:
+        # top < 2^31 - 1, so span <= 2^31 and every key is below 2^62
+        span = top + 2
+        key = rank[:n].astype(np.int64) * span
+        key[: n - h] += rank[h:n] + 1
+        top = top * span + span - 1
+        rank = np.empty(n + 1, dtype=np.int32)
+        rank[n] = -1
+        if top < 2**31 - 1:
+            rank[:n] = key
         else:
-            h = 0
-    return lcp, rank
+            order = np.argsort(key)
+            key = key[order]
+            dense = np.zeros(n, dtype=np.int32)
+            np.cumsum(key[1:] != key[:-1], out=dense[1:])
+            rank[order] = dense
+            top = int(dense[-1])
+            distinct = top + 1
+        rounds.append(rank)
+        h *= 2
+    return rounds
 
 
-class _LceTable:
-    """Constant-time longest-common-extension queries over one string."""
+def _extensions(rounds: list[np.ndarray], ii: np.ndarray, jj: np.ndarray, forward: bool) -> np.ndarray:
+    """For pairs i < j <= n, the largest l with text[i:i+l] == text[j:j+l]
+    (forward) or text[i-l:i] == text[j-l:j] (backward).
 
-    def __init__(self, text: str):
-        n = len(text)
-        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        sa = _suffix_array(codes)
-        lcp, rank = _lcp_array(text, sa.tolist())
-        self.n = n
-        self.rank = np.asarray(rank, dtype=np.int64)
-        table = [np.asarray(lcp, dtype=np.int32)]
-        size = 1
-        while 2 * size <= n:
-            prev = table[-1]
-            table.append(np.minimum(prev[: prev.size - size], prev[size:]))
-            size *= 2
-        self.table = table
-        # logt[i] = floor(log2(i)): one increment per power of two up to n
-        logt = np.zeros(n + 1, dtype=np.int64)
-        k = 2
-        while k <= n:
-            logt[k:] += 1
-            k *= 2
-        self.logt = logt
+    The last round's windows all differ, so l < 2^K, K = len(rounds) - 1.
+    An upward pass finds, on a shrinking set of pairs, the largest 2^k that
+    agrees at the pair; a downward pass adds each smaller 2^k that agrees
+    next, for the pairs that reached above k.
+    """
+    def agree(k, q, out):
+        rank, size = rounds[k], 1 << k
+        if forward:
+            return rank[ii[q] + out] == rank[jj[q] + out]
+        left = ii[q] - out - size
+        return (left >= 0) & (rank[np.maximum(left, 0)] == rank[jj[q] - out - size])
 
-    def lce(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-        """Vectorized LCE for position pairs with ii[k] != jj[k]."""
-        ri = self.rank[ii]
-        rj = self.rank[jj]
-        lo = np.minimum(ri, rj) + 1
-        hi = np.maximum(ri, rj)
-        ks = self.logt[hi - lo + 1]
-        out = np.empty(ii.size, dtype=np.int64)
-        for k in range(len(self.table)):
-            mask = ks == k
-            if not mask.any():
-                continue
-            span = self.table[k]
-            left = span[lo[mask]]
-            right = span[hi[mask] - (1 << k) + 1]
-            out[mask] = np.minimum(left, right)
-        return out
+    out = np.zeros(ii.size, dtype=np.int64)
+    reached = [np.arange(ii.size)]  # reached[k + 1]: pairs with l >= 2^k
+    for k in range(len(rounds) - 1):
+        q = reached[-1]
+        q = q[agree(k, q, 0)]
+        if q.size == 0:
+            break
+        out[q] = 1 << k
+        reached.append(q)
+    for k in range(len(reached) - 3, -1, -1):
+        q = reached[k + 2]
+        out[q] += agree(k, q, out[q]).astype(np.int64) << k
+    return out
+
+
+def _lyndon_ends(isa: list[int]) -> np.ndarray:
+    """For each i the next j > i of smaller rank, then for each i the next
+    j > i of greater rank (n when there is none).  Ranks are distinct, so
+    one of the two is i + 1; the other is walked from the ends at i + 1."""
+    n = len(isa)
+    smaller = [n] * n
+    greater = [n] * n
+    for i in range(n - 2, -1, -1):
+        v = isa[i]
+        j = i + 1
+        if isa[j] < v:
+            smaller[i] = j
+            j = greater[j]
+            while j < n and isa[j] < v:
+                j = greater[j]
+            greater[i] = j
+        else:
+            greater[i] = j
+            j = smaller[j]
+            while j < n and isa[j] > v:
+                j = smaller[j]
+            smaller[i] = j
+    return np.asarray(smaller + greater, dtype=np.int64)
 
 
 def _run_candidates(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximal periodic segments of exponent >= 2 as (start, end, period).
 
-    Every such segment appears at least once (possibly with a non-minimal
-    period); for a fixed span, the smallest reported period is the minimal
-    one.
+    Order 0 is the letter order with end-of-text smallest; order 1 is its
+    exact reverse (letters reversed, end-of-text largest), so its suffix
+    order is the last round read backwards.  For each order and position i,
+    j is the next position with a smaller suffix (under order 0, text[i:j]
+    is the longest Lyndon word at i).  The pair is kept as [i - b, j + f)
+    of period p = j - i when its backward and forward extensions reach
+    f + b >= p.  Every run is among these at most 2n candidates with its
+    minimal period (Bannai et al., "The 'Runs' Theorem", SIAM J. Comput.
+    46(5), 2017):
+
+    * Let [s, e) be a run of minimal period p.  Take the order under which
+      the letter at e is below the letter at e - p, or order 0 if e = n.
+      Its root is primitive, so one rotation, lambda, is a Lyndon word, and
+      with two full periods lambda occurs at some a > s with a + p <= e.
+    * For a < c < a + p, suffix c starts with a proper suffix of lambda,
+      which exceeds lambda at a letter inside it (Lyndon words are
+      unbordered).  Suffix a + p follows suffix a up to e and is smaller
+      there, or is its proper prefix when e = n.  So j = a + p.
+    * Another kept pair is a segment of period p, length >= 2p and maximal
+      for p; by Fine and Wilf its span is a run whose minimal period
+      divides p, found as above.
     """
     n = len(text)
-    if n < 2:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
-    fwd = _LceTable(text)
-    bwd = _LceTable(text[::-1])
-    ii_parts = []
-    pp_parts = []
-    for p in range(1, n // 2 + 1):
-        ii = np.arange(0, n - p, p, dtype=np.int64)
-        ii_parts.append(ii)
-        pp_parts.append(np.full(ii.size, p, dtype=np.int64))
-    ii = np.concatenate(ii_parts)
-    pp = np.concatenate(pp_parts)
-    jj = ii + pp
-    f = fwd.lce(ii, jj)
-    b = np.zeros_like(f)
-    inner = ii > 0
-    if inner.any():
-        b[inner] = bwd.lce(n - ii[inner], n - jj[inner])
-    keep = (f + b) >= pp
-    start = ii[keep] - b[keep]
-    end = jj[keep] + f[keep]
-    return start, end, pp[keep]
+    rounds = _doubling_ranks(np.frombuffer(text.encode("ascii"), dtype=np.uint8))
+    ii = np.tile(np.arange(n, dtype=np.int64), 2)
+    jj = _lyndon_ends(rounds[-1][:n].tolist())
+    period = jj - ii
+    f = _extensions(rounds, ii, jj, forward=True)
+    b = _extensions(rounds, ii, jj, forward=False)
+    keep = f + b >= period
+    return ii[keep] - b[keep], jj[keep] + f[keep], period[keep]
 
 
 def _fractional_best(text: str) -> tuple[int, int, int]:
@@ -224,32 +240,26 @@ def _fractional_best(text: str) -> tuple[int, int, int]:
     return best_len, best_period, best_start
 
 
-def _best_extension(text: str) -> tuple[int, int, int]:
-    """(length, period, start) maximizing length/period; ties prefer the
-    smallest period, then the smallest start."""
-    start, end, period = _run_candidates(text)
-    if start.size == 0:
-        return _fractional_best(text)
+def _best_extension(start: np.ndarray, end: np.ndarray, period: np.ndarray) -> tuple[int, int, int]:
+    """(length, period, start) of the candidate maximizing length/period;
+    ties prefer the smallest period, then the smallest start.
+
+    Exact int64 cross-multiplication: lengths are at most 2^31 and periods
+    at most 2^30, so products stay below 2^61.  The exact floor of
+    length * 2^31 / period picks a first champion; each further pass moves
+    to a strictly better ratio until none is left.
+    """
     lengths = end - start
-    # Float filter; the exact cross-multiplication loop below decides.  Each
-    # ratio is L/p <= n, one correctly rounded float64 division of integers
-    # held exactly, so its relative error is at most 2**-53 and two ratios
-    # equal to the maximum differ by at most 2n * 2**-53 < 1e-9 for every
-    # n below about 4e6.  Beyond that, rounding is monotone and equal
-    # quotients round alike, so every exact maximum is ratio.max() itself.
-    ratio = lengths / period
-    near = np.flatnonzero(ratio >= ratio.max() - 1e-9)
-    best = None
-    for idx in near:
-        L, p, s = int(lengths[idx]), int(period[idx]), int(start[idx])
-        if best is None:
-            best = (L, p, s)
-            continue
-        bl, bp, bs = best
-        cmp = L * bp - bl * p
-        if cmp > 0 or (cmp == 0 and (p, s) < (bp, bs)):
-            best = (L, p, s)
-    return best
+    best = int(((lengths << 31) // period).argmax())
+    while True:
+        gain = lengths * period[best] - lengths[best] * period
+        k = int(gain.argmax())
+        if gain[k] <= 0:
+            break
+        best = k
+    tied = np.flatnonzero(gain == 0)
+    k = tied[np.lexsort((start[tied], period[tied]))[0]]
+    return int(lengths[k]), int(period[k]), int(start[k])
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +296,11 @@ def word_index_estimate(prefix: Word) -> IndexReport:
     """
     if len(prefix) < 1:
         raise ParameterError("word must be nonempty")
-    length, period, start = _best_extension(prefix.text)
+    candidates = _run_candidates(prefix.text)
+    if candidates[0].size:
+        length, period, start = _best_extension(*candidates)
+    else:
+        length, period, start = _fractional_best(prefix.text)
     estimate = Fraction(length, period)
     power = max(1, length // period)
     return IndexReport(
@@ -302,29 +316,6 @@ def max_integer_power(prefix: Word) -> tuple[int, Word]:
     """The largest j with some nonempty w such that w^j occurs, and such a w."""
     report = word_index_estimate(prefix)
     return report.max_power, Word(report.max_power_witness, prefix.alphabet)
-
-
-def factor_index_in(prefix: Word, factor: Word) -> Fraction:
-    """Largest rational power of ``factor`` occurring in ``prefix``.
-
-    0 when the factor does not occur at all.
-    """
-    pattern = factor.text
-    if not pattern:
-        raise ParameterError("factor must be nonempty")
-    text = prefix.text
-    p = len(pattern)
-    best = Fraction(0)
-    at = text.find(pattern)
-    while at != -1:
-        length = p
-        while at + length < len(text) and text[at + length] == text[at + length - p]:
-            length += 1
-        value = Fraction(length, p)
-        if value > best:
-            best = value
-        at = text.find(pattern, at + 1)
-    return best
 
 
 def brute_force_index(prefix: Word) -> Fraction:

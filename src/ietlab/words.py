@@ -122,10 +122,9 @@ class Morphism:
 
 
 # The two projections of {A,B,C} onto {0,1} that keep A and C apart and
-# split B across both letters, plus the binary letter exchange.
+# split B across both letters.
 SPLIT_B01 = Morphism(TERNARY, BINARY, {"A": "0", "B": "01", "C": "1"})
 SPLIT_B10 = Morphism(TERNARY, BINARY, {"A": "0", "B": "10", "C": "1"})
-EXCHANGE_01 = Morphism(BINARY, BINARY, {"0": "1", "1": "0"})
 
 
 def rotation_coding_morphism(k: int) -> Morphism:
@@ -135,13 +134,6 @@ def rotation_coding_morphism(k: int) -> Morphism:
     return Morphism(
         TERNARY, BINARY, {"A": "0", "B": "0" + "1" * (k + 1), "C": "0" + "1" * k}
     )
-
-
-def letter_permutation(word: Word, mapping: dict[str, str]) -> Word:
-    """Relabel letters by a permutation of the alphabet."""
-    if sorted(mapping) != sorted(mapping.values()) or set(mapping) != set(word.alphabet):
-        raise ParameterError("mapping must permute the word's alphabet")
-    return Word(word.text.translate(str.maketrans(mapping)), word.alphabet)
 
 
 class BalanceCheck(NamedTuple):

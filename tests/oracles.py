@@ -9,7 +9,9 @@ from fractions import Fraction
 
 from mpmath import mp, mpf, sqrt
 
+from ietlab.errors import ParameterError
 from ietlab.exactreal import QuadraticReal
+from ietlab.words import BINARY, Morphism, Word
 
 mp.dps = 60
 
@@ -147,3 +149,37 @@ def fib_char_prefix(n_letters):
     while len(cur) < n_letters:
         prev, cur = cur, cur + prev
     return cur[:n_letters]
+
+
+# The binary letter exchange.
+EXCHANGE_01 = Morphism(BINARY, BINARY, {"0": "1", "1": "0"})
+
+
+def letter_permutation(word, mapping):
+    """Relabel letters by a permutation of the alphabet."""
+    if sorted(mapping) != sorted(mapping.values()) or set(mapping) != set(word.alphabet):
+        raise ParameterError("mapping must permute the word's alphabet")
+    return Word(word.text.translate(str.maketrans(mapping)), word.alphabet)
+
+
+def factor_index_in(prefix, factor):
+    """Largest rational power of ``factor`` occurring in ``prefix``.
+
+    0 when the factor does not occur at all.
+    """
+    pattern = factor.text
+    if not pattern:
+        raise ParameterError("factor must be nonempty")
+    text = prefix.text
+    p = len(pattern)
+    best = Fraction(0)
+    at = text.find(pattern)
+    while at != -1:
+        length = p
+        while at + length < len(text) and text[at + length] == text[at + length - p]:
+            length += 1
+        value = Fraction(length, p)
+        if value > best:
+            best = value
+        at = text.find(pattern, at + 1)
+    return best

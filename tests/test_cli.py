@@ -8,6 +8,7 @@ import time
 import pytest
 
 from ietlab.cli import main
+from ietlab.exactreal import _squarefree_split
 
 GOLDEN_EPS = "(-1+1*sqrt(5))/2"
 SILVER_EPS = "(-1+1*sqrt(2))/1"
@@ -84,6 +85,14 @@ class TestGenerate:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert err.startswith("error: --eps: radicand") and "cannot be certified" in err
+
+    def test_large_radicand_split_once(self, capsys):
+        _squarefree_split.cache_clear()
+        code, out, _ = run(capsys, "generate", "3iet", "--eps",
+                           "(-999000+1*sqrt(999999999989))/2000", "--ell", "9/10", "-N", "1000")
+        assert code == 0 and len(out) == 1001
+        info = _squarefree_split.cache_info()
+        assert info.misses == 1 and info.hits > 0
 
     def test_missing_flag(self, capsys):
         code, _, err = run(capsys, "generate", "3iet", "--eps", GOLDEN_EPS, "-N", "7")

@@ -1,6 +1,8 @@
 """Tests for exact quadratic arithmetic, parsing and continued fractions."""
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -201,6 +203,21 @@ class TestFloorFract:
                 rng.randint(0, 40), rng.randint(1, 60),
             )
             assert x.floor() == int(mp.floor(mp_value(x)))
+
+    def test_huge_coefficients_floor_fast(self):
+        # (p + 10^48*sqrt(2))/1 with p = -floor(10^48*sqrt(2)) lies in (0, 1)
+        q = 10**48
+        x = QuadraticReal(-math.isqrt(2 * q * q), q, 2, 1)
+        start = time.perf_counter()
+        floor, cf, text = x.floor(), cf_expand(x, 8), x.decimal()
+        assert time.perf_counter() - start < 1.0
+        with mp.workdps(150):  # the value cancels 48 leading digits
+            assert floor == 0
+            assert cf.quotients[:8] == tuple(mp_cf(mp_value(x), 8))
+            assert text == mp.nstr(mp_value(x), 15)
+            for e in (20, 42, 45, 60, 100):
+                y = QuadraticReal(7, -(10**e), 3, 11)
+                assert y.floor() == int(mp.floor(mp_value(y)))
 
 
 class TestDecimalRendering:

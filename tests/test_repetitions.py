@@ -10,14 +10,21 @@ from ietlab.errors import ParameterError
 from ietlab.repetitions import (
     Run,
     brute_force_index,
-    factor_index_in,
     max_integer_power,
     max_runs,
     word_index_estimate,
 )
-from ietlab.words import BINARY, Word, letter_permutation
+from ietlab.words import BINARY, Word
 
-from oracles import fib_char_prefix, naive_index, naive_max_power, naive_runs, random_word
+from oracles import (
+    factor_index_in,
+    fib_char_prefix,
+    letter_permutation,
+    naive_index,
+    naive_max_power,
+    naive_runs,
+    random_word,
+)
 
 W = Word.from_text
 

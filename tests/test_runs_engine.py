@@ -1,0 +1,120 @@
+"""The Lyndon-root runs engine against the naive oracles."""
+
+import subprocess
+import sys
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ietlab.exactreal import CFExpansion, QuadraticReal
+from ietlab.repetitions import _best_extension, _run_candidates, max_runs, word_index_estimate
+from ietlab.sturmian import RotationParams, characteristic_prefix, rotation_word
+from ietlab.threeiet import threeiet_word, validate_params
+from ietlab.words import Word
+
+from oracles import naive_index, naive_runs
+
+PROPERTY = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+PREFIXES = settings(max_examples=25, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def check_engine(text):
+    """Runs, index and candidate count of one word against the oracles."""
+    word = Word.from_text(text)
+    runs = [(r.start, r.period, r.length) for r in max_runs(word)]
+    assert runs == naive_runs(text)
+    assert word_index_estimate(word).index_estimate == naive_index(text)
+    assert _run_candidates(text)[0].size <= 2 * len(text)
+    return runs
+
+
+@st.composite
+def small_words(draw):
+    """A word over 1-4 letters, often opening or closing on a repetition."""
+    letters = "abcd"[: draw(st.integers(1, 4))]
+    pieces = []
+    for _ in range(2):
+        root = draw(st.text(letters, min_size=1, max_size=5))
+        pieces.append(root * draw(st.integers(0, 4)) + root[: draw(st.integers(0, 4))])
+    middle = draw(st.text(letters, max_size=30))
+    return (pieces[0] + middle + pieces[1])[:80] or letters[0]
+
+
+@PROPERTY
+@given(small_words())
+def test_small_words_match_oracles(text):
+    check_engine(text)
+
+
+def test_runs_at_both_ends():
+    # squares and cubes touching position 0, position n, or both
+    for text, run in (("aab", (0, 1, 2)), ("baa", (1, 1, 2)), ("abab", (0, 2, 4)),
+                      ("abcabcab", (0, 3, 8)), ("cabab", (1, 2, 4)),
+                      ("ababc", (0, 2, 4)), ("aaaa", (0, 1, 4))):
+        assert run in check_engine(text)
+
+
+UNIT = st.fractions(min_value=0, max_value=1, max_denominator=60).filter(lambda t: 0 < t < 1)
+
+
+@st.composite
+def irrationals(draw):
+    """An irrational value in (0, 1) of Q(sqrt(2)), Q(sqrt(3)) or Q(sqrt(5))."""
+    d = draw(st.sampled_from((2, 3, 5)))
+    q = draw(st.integers(1, 20)) * draw(st.sampled_from((1, -1)))
+    return QuadraticReal(draw(st.integers(-40, 40)), q, d, draw(st.integers(1, 30))).fract()
+
+
+@PREFIXES
+@given(st.lists(st.integers(1, 5), min_size=20, max_size=20), st.integers(1, 400))
+def test_characteristic_prefixes(quotients, n):
+    check_engine(characteristic_prefix(CFExpansion.from_quotients(quotients), n).text)
+
+
+@PREFIXES
+@given(irrationals(), UNIT, UNIT, st.integers(1, 400))
+def test_rotation_prefixes(alpha, beta, x0, n):
+    params = RotationParams(alpha, QuadraticReal(beta.numerator, 0, 0, beta.denominator),
+                            QuadraticReal(x0.numerator, 0, 0, x0.denominator))
+    check_engine(rotation_word(params, n).text)
+
+
+@PREFIXES
+@given(irrationals(), UNIT, UNIT, st.integers(1, 400))
+def test_threeiet_prefixes(eps, t, s, n):
+    larger = eps if eps > 1 - eps else 1 - eps
+    ell = larger + (1 - larger) * QuadraticReal(t.numerator, 0, 0, t.denominator)
+    x0 = ell * QuadraticReal(s.numerator, 0, 0, s.denominator)
+    check_engine(threeiet_word(validate_params(eps, ell, x0), n).text)
+
+
+def test_exact_winner_between_close_ratios():
+    # (2^31)/(2^30 - 1) exceeds (2^30 + 1)/2^29 by 1/(2^29 (2^30 - 1)) < 1e-9,
+    # and both ratios round to the same float; the larger period must win.
+    a = (0, 2**30 + 1, 2**29)
+    b = (5, 5 + 2**31, 2**30 - 1)
+    tie = (2, 2 + 2**31, 2**30 - 1)
+    assert float(a[1] - a[0]) / a[2] == float(b[1] - b[0]) / b[2]
+    for cands, winner in (([a, b], b), ([b, a], b), ([a, b, tie], tie), ([tie, a, b], tie)):
+        start, end, period = (np.array(column, dtype=np.int64) for column in zip(*cands))
+        assert _best_extension(start, end, period) == (winner[1] - winner[0], winner[2], winner[0])
+
+
+def test_peak_memory_of_a_long_characteristic_prefix():
+    script = (
+        "import resource, sys\n"
+        "from ietlab.exactreal import CFExpansion\n"
+        "from ietlab.repetitions import word_index_estimate\n"
+        "from ietlab.sturmian import characteristic_prefix\n"
+        "word = characteristic_prefix(CFExpansion.from_quotients([1, 2, 3, 4] * 10), 200000)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "word_index_estimate(word)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert int(out.stdout) < 250 * 1024, out.stdout  # ru_maxrss is in KiB on Linux
+

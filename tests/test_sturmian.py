@@ -17,9 +17,9 @@ from ietlab.sturmian import (
     sturmian_index_formula,
     sturmian_word,
 )
-from ietlab.words import BINARY, EXCHANGE_01, Word, is_balanced
+from ietlab.words import BINARY, Word, is_balanced
 
-from oracles import fib_char_prefix, mp_value
+from oracles import EXCHANGE_01, fib_char_prefix, mp_value
 
 PHI_MINUS_1 = QuadraticReal(-1, 1, 5, 2)
 SQRT2_MINUS_1 = QuadraticReal(-1, 1, 2, 1)

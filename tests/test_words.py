@@ -7,18 +7,16 @@ import pytest
 from ietlab.errors import ParameterError
 from ietlab.words import (
     BINARY,
-    EXCHANGE_01,
     SPLIT_B01,
     SPLIT_B10,
     TERNARY,
     Morphism,
     Word,
     is_balanced,
-    letter_permutation,
     rotation_coding_morphism,
 )
 
-from oracles import fib_char_prefix
+from oracles import EXCHANGE_01, fib_char_prefix, letter_permutation
 
 
 def test_word_validation():
