@@ -270,7 +270,8 @@ def _verify_theorem3(args) -> tuple[dict, bool]:
 def _cmd_verify(args) -> int:
     if args.check == "abmp":
         params = _threeiet_params(args, "verify abmp")
-        projection = verify_projections(params, args.length, args.nmax or 10)
+        depth = 10 if args.nmax is None else args.nmax
+        projection = verify_projections(params, args.length, depth)
         report = {"check": "abmp", **projection.to_json_dict()}
         passed = projection.passed
     elif args.check == "bounds":
@@ -454,6 +455,8 @@ def main(argv=None) -> int:
     try:
         if args.length is not None:
             require_length(args.length, "-N")
+        if getattr(args, "nmax", None) is not None and args.nmax < 1:
+            raise ParameterError(f"--nmax: must be >= 1 (got {args.nmax})")
         return args.handler(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -143,7 +143,7 @@ def _orbit_word(
 def rotation_word(params: RotationParams, n_letters: int) -> Word:
     """Letters u_i = 0 iff the fractional part of x0 + i*alpha lies in [0, beta)."""
     cuts = ((params.beta, "0"), (QuadraticReal(1), "1"))
-    return Word(_orbit_word(params.x0, params.alpha, cuts, n_letters), BINARY)
+    return Word._trusted(_orbit_word(params.x0, params.alpha, cuts, n_letters), BINARY)
 
 
 def sturmian_word(params: SturmianParams, n_letters: int) -> Word:
@@ -161,13 +161,13 @@ def standard_word(cf: CFExpansion, level: int) -> Word:
     if level < -1:
         raise ParameterError("level must be >= -1")
     if level == -1:
-        return Word("1", BINARY)
+        return Word._trusted("1", BINARY)
     if level == 0:
-        return Word("0", BINARY)
+        return Word._trusted("0", BINARY)
     prev, cur = "0", "0" * (cf.coefficient(1) - 1) + "1"
     for n in range(1, level):
         prev, cur = cur, cur * cf.coefficient(n + 1) + prev
-    return Word(cur, BINARY)
+    return Word._trusted(cur, BINARY)
 
 
 def characteristic_prefix(cf: CFExpansion, n_letters: int) -> Word:
@@ -188,7 +188,7 @@ def characteristic_prefix(cf: CFExpansion, n_letters: int) -> Word:
                 f"need |s_n| >= {n_letters} but coefficients end at a_{n - 1}"
             ) from None
         prev, cur = cur, cur * a + prev
-    return Word(cur[:n_letters], BINARY)
+    return Word._trusted(cur[:n_letters], BINARY)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import ParameterError
 from .exactreal import QuadraticReal, cf_expand, require_same_field
 from .repetitions import word_index_estimate
@@ -101,7 +103,7 @@ def threeiet_word(params: ThreeIetParams, n_letters: int) -> Word:
         (params.ell, "C"),
         (QuadraticReal(1), None),
     )
-    return Word(_orbit_word(params.x0, 1 - eps, cuts, n_letters), TERNARY)
+    return Word._trusted(_orbit_word(params.x0, 1 - eps, cuts, n_letters), TERNARY)
 
 
 # ---------------------------------------------------------------------------
@@ -124,31 +126,59 @@ def _require_binary(word: Word):
         raise ParameterError("ternarization needs binary words")
 
 
-def _scan(first: str, second: str) -> tuple[list[str], int] | NotAmicable:
+# Letter of each pair (first, second) coded 2*first + second: (0,0) -> A,
+# (0,1) -> B (the first half of 01/10), (1,0) -> none, (1,1) -> C.
+_PAIR_LETTERS = np.frombuffer(b"AB\0C", dtype=np.uint8)
+# Positions per numpy block of the scan.
+_SCAN_BLOCK = 2**15
+
+
+def _scan(first: str, second: str) -> tuple[str, int] | NotAmicable:
     """Two-cursor scan; returns (letters, consumed) up to the last complete
-    alignment, or NotAmicable on a genuine mismatch."""
-    out: list[str] = []
-    i = 0
+    alignment, or NotAmicable on a genuine mismatch.
+
+    Until the first mismatch every pair other than (1,0) starts a letter and
+    every (1,0) ends the B begun by a (0,1) just before it.  So the scan
+    fails at the first j holding a (1,0) not preceded by (0,1), or a (0,1)
+    not followed by (1,0) with j < n - 1; a (0,1) at n - 1 is a trailing
+    half-pair, which callers judge.  Blocks of positions carry one position
+    of context on each side.
+    """
     n = min(len(first), len(second))
-    while i < n:
-        a, b = first[i], second[i]
-        if a == "0" and b == "0":
-            out.append("A")
-            i += 1
-        elif a == "1" and b == "1":
-            out.append("C")
-            i += 1
-        elif a == "0" and b == "1":
-            if i + 1 >= n:
-                break  # a trailing half-pair; callers decide if that is fine
-            if first[i + 1] == "1" and second[i + 1] == "0":
-                out.append("B")
-                i += 2
-            else:
-                return NotAmicable(i + 1, "pair (0,1) not followed by (1,0)")
-        else:
-            return NotAmicable(i, "pair (1,0) matches no letter image")
-    return out, i
+    out = np.empty(n, dtype=np.uint8)
+    filled = 0
+    for start in range(0, n, _SCAN_BLOCK):
+        stop = min(n, start + _SCAN_BLOCK)
+        lo, hi = max(start - 1, 0), min(stop + 1, n)
+        a, b = first[lo:hi], second[lo:hi]
+        # Position -1 reads as (0,0) and position n as (1,0): neither makes
+        # a mismatch.
+        if start == 0:
+            a, b = "0" + a, "0" + b
+        if stop == n:
+            a, b = a + "1", b + "0"
+        pairs = (_bits(a) << 1) | _bits(b)
+        core, before, after = pairs[1:-1], pairs[:-2], pairs[2:]
+        orphan = (core == 2) & (before != 1)
+        bad = np.flatnonzero(orphan | ((core == 1) & (after != 2)))
+        if len(bad):
+            j = int(bad[0])
+            if orphan[j]:
+                return NotAmicable(start + j, "pair (1,0) matches no letter image")
+            return NotAmicable(start + j + 1, "pair (0,1) not followed by (1,0)")
+        letters = _PAIR_LETTERS[core]
+        letters = letters[letters != 0]
+        out[filled : filled + len(letters)] = letters
+        filled += len(letters)
+    consumed = n
+    if n and first[n - 1] == "0" and second[n - 1] == "1":
+        consumed, filled = n - 1, filled - 1  # the B of a trailing half-pair
+    return out[:filled].tobytes().decode("ascii"), consumed
+
+
+def _bits(text: str) -> np.ndarray:
+    """The letters of a binary text as 0/1 bytes."""
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8) & 1
 
 
 def ternarize(first: Word, second: Word):
@@ -167,7 +197,7 @@ def ternarize(first: Word, second: Word):
     letters, consumed = result
     if consumed != len(first):
         return NotAmicable(consumed, "dangling unmatched tail")
-    return Word("".join(letters), TERNARY)
+    return Word._trusted(letters, TERNARY)
 
 
 def ternarize_prefix(first: Word, second: Word):
@@ -183,7 +213,7 @@ def ternarize_prefix(first: Word, second: Word):
     if isinstance(result, NotAmicable):
         return result
     letters, consumed = result
-    return Word("".join(letters), TERNARY), consumed
+    return Word._trusted(letters, TERNARY), consumed
 
 
 def is_amicable(first: Word, second: Word) -> bool:
@@ -250,6 +280,8 @@ def verify_projections(
     params: ThreeIetParams, n_letters: int, depth: int
 ) -> ProjectionReport:
     """Generate a prefix and run the projection consistency checks."""
+    if depth < 1:
+        raise ParameterError(f"certificate depth must be >= 1 (got {depth})")
     word = threeiet_word(params, n_letters)
     b01 = SPLIT_B01(word)
     b10 = SPLIT_B10(word)

@@ -11,17 +11,26 @@ from mpmath import mp, mpf, sqrt
 
 from ietlab.errors import ParameterError
 from ietlab.exactreal import QuadraticReal
-from ietlab.words import BINARY, Morphism, Word
+from ietlab.threeiet import NotAmicable
+from ietlab.words import BINARY, BalanceCheck, Morphism, Word
 
 mp.dps = 60
 
 
 def mp_value(x):
-    """High-precision decimal value of a QuadraticReal."""
-    value = mpf(x.p)
-    if x.q:
-        value += x.q * sqrt(x.d)
-    return value / x.r
+    """High-precision decimal value of a QuadraticReal.
+
+    The working precision rises by the decimal digits of the coefficients,
+    so digits lost where p and q*sqrt(d) cancel are still exact; the result
+    is rounded back to the caller's precision.
+    """
+    digits = sum(len(str(abs(c))) for c in (x.p, x.q, x.d))
+    with mp.extradps(digits):
+        value = mpf(x.p)
+        if x.q:
+            value += x.q * sqrt(x.d)
+        value /= x.r
+    return +value
 
 
 def mp_cf(value, n_terms):
@@ -183,3 +192,58 @@ def factor_index_in(prefix, factor):
             best = value
         at = text.find(pattern, at + 1)
     return best
+
+
+def factors(word, n):
+    """All distinct length-n factors of a Word."""
+    if not 0 <= n <= len(word):
+        raise ParameterError(f"factor length {n} exceeds word length {len(word)}")
+    return {word.text[i : i + n] for i in range(len(word) - n + 1)}
+
+
+def sequential_is_balanced(word, n_max):
+    """``words.is_balanced`` by one sliding count per length.
+
+    The witness pair moves only on a strictly new minimum or maximum, so it
+    is the first window with the fewest ones and the first with the most.
+    """
+    text = word.text
+    for n in range(1, min(n_max, len(text)) + 1):
+        ones = text[:n].count("1")
+        low = high = ones
+        low_at = high_at = 0
+        for i in range(1, len(text) - n + 1):
+            ones += (text[i + n - 1] == "1") - (text[i - 1] == "1")
+            if ones < low:
+                low, low_at = ones, i
+            elif ones > high:
+                high, high_at = ones, i
+        if high - low > 1:
+            return BalanceCheck(False, (text[low_at : low_at + n], text[high_at : high_at + n]))
+    return BalanceCheck(True, None)
+
+
+def sequential_scan(first, second):
+    """``threeiet._scan`` by two cursors, one pair at a time."""
+    out = []
+    i = 0
+    n = min(len(first), len(second))
+    while i < n:
+        a, b = first[i], second[i]
+        if a == "0" and b == "0":
+            out.append("A")
+            i += 1
+        elif a == "1" and b == "1":
+            out.append("C")
+            i += 1
+        elif a == "0" and b == "1":
+            if i + 1 >= n:
+                break  # a trailing half-pair
+            if first[i + 1] == "1" and second[i + 1] == "0":
+                out.append("B")
+                i += 2
+            else:
+                return NotAmicable(i + 1, "pair (0,1) not followed by (1,0)")
+        else:
+            return NotAmicable(i, "pair (1,0) matches no letter image")
+    return "".join(out), i

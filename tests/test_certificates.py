@@ -1,0 +1,216 @@
+"""The numpy certificate kernels against the sequential oracles: factor
+complexity, balance and the ternarization scan."""
+
+import random
+import subprocess
+import sys
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ietlab import threeiet
+from ietlab.errors import ParameterError
+from ietlab.threeiet import NotAmicable, _scan, ternarize, ternarize_prefix
+from ietlab.words import BINARY, SPLIT_B01, SPLIT_B10, TERNARY, Word, is_balanced
+
+from oracles import factors, sequential_is_balanced, sequential_scan
+
+PROPERTY = settings(max_examples=200, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+LONG = settings(max_examples=12, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+LETTERS = "ABCDE"
+
+
+def flip(text, at):
+    return text[:at] + "10"[int(text[at])] + text[at + 1 :]
+
+
+@st.composite
+def words(draw, max_size=120):
+    """A word over 1 to 5 letters in a drawn order, often periodic."""
+    alphabet = tuple(draw(st.permutations(LETTERS[: draw(st.integers(1, 5))])))
+    letter = st.sampled_from(alphabet)
+    if draw(st.booleans()):
+        root = draw(st.text(letter, min_size=1, max_size=6))
+        text = (root * max_size)[: draw(st.integers(0, max_size))]
+    else:
+        text = draw(st.text(letter, max_size=max_size))
+    return Word(text, alphabet)
+
+
+@st.composite
+def binary_words(draw, max_size=120):
+    """Binary words: random, periodic, or a Sturmian-like mechanical word,
+    perhaps with one bit flipped so that it first fails at a longer length."""
+    size = draw(st.integers(0, max_size))
+    kind = draw(st.sampled_from(("random", "periodic", "mechanical", "flipped")))
+    if kind == "random":
+        text = draw(st.text(st.sampled_from(BINARY), min_size=size, max_size=size))
+    elif kind == "periodic":
+        root = draw(st.text(st.sampled_from(BINARY), min_size=1, max_size=8))
+        text = (root * (size + 1))[:size]
+    else:
+        slope = draw(st.fractions(0, 1, max_denominator=97))
+        start = draw(st.fractions(0, 1, max_denominator=97))
+        text = "".join(
+            str(int((i + 1) * slope + start) - int(i * slope + start)) for i in range(size)
+        )
+        if kind == "flipped" and text:
+            text = flip(text, draw(st.integers(0, size - 1)))
+    return Word(text, BINARY)
+
+
+class TestFactorComplexity:
+    @PROPERTY
+    @given(words(), st.data())
+    def test_against_distinct_slices(self, word, data):
+        n = data.draw(st.integers(0, len(word)))
+        assert word.factor_complexity(n) == len(factors(word, n))
+
+    @LONG
+    @given(words(max_size=400), st.integers(0, 2**32 - 1))
+    def test_every_length_across_chunks(self, word, seed):
+        # With b bits per letter a chunk holds 32 // b letters (32, 16 or 10
+        # here), so lengths past it append to dense ranks.
+        chunk = 32 // max(1, (len(word.alphabet) - 1).bit_length())
+        rng = random.Random(seed)
+        lengths = {0, len(word), chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 3 * chunk}
+        lengths |= {rng.randint(0, len(word)) for _ in range(5)}
+        for n in sorted(length for length in lengths if 0 <= length <= len(word)):
+            assert word.factor_complexity(n) == len(factors(word, n)), n
+
+    def test_distinct_long_factors(self):
+        rng = random.Random(7)
+        text = "".join(rng.choice(LETTERS) for _ in range(3000))
+        word = Word(text, tuple(LETTERS))
+        for n in (1, 9, 10, 11, 20, 21, 64, 2999, 3000):
+            assert word.factor_complexity(n) == len(factors(word, n))
+        # Long windows that differ only before their last 32 letters: the
+        # rank and the appended letters must both survive in the code.
+        word = Word(("0" * 49 + "1") * 12, BINARY)
+        for n in (32, 33, 40, 49, 50, 64, 100, 599):
+            assert word.factor_complexity(n) == len(factors(word, n))
+
+    def test_length_out_of_range(self):
+        word = Word("0110", BINARY)
+        for n in (-1, 5):
+            with pytest.raises(ParameterError):
+                word.factor_complexity(n)
+        assert Word("", BINARY).factor_complexity(0) == 1
+
+
+class TestBalance:
+    @PROPERTY
+    @given(binary_words(), st.integers(0, 130))
+    def test_against_sliding_count(self, word, n_max):
+        assert is_balanced(word, n_max) == sequential_is_balanced(word, n_max)
+
+    def test_counts_beyond_one_byte(self):
+        # Windows longer than 255 letters hold more ones than a byte counts.
+        text = "".join(str((i + 1) * 5 // 7 - i * 5 // 7) for i in range(700))
+        for flipped in (text, flip(text, 650)):
+            word = Word(flipped, BINARY)
+            assert is_balanced(word, 700) == sequential_is_balanced(word, 700)
+
+
+def expected_ternarize(first, second):
+    """``ternarize`` built on the sequential scan."""
+    if len(first) != len(second):
+        return NotAmicable(min(len(first), len(second)), "length mismatch")
+    result = sequential_scan(first, second)
+    if isinstance(result, NotAmicable):
+        return result
+    letters, consumed = result
+    if consumed != len(first):
+        return NotAmicable(consumed, "dangling unmatched tail")
+    return Word(letters, TERNARY)
+
+
+def expected_prefix(first, second):
+    """``ternarize_prefix`` built on the sequential scan."""
+    result = sequential_scan(first, second)
+    if isinstance(result, NotAmicable):
+        return result
+    letters, consumed = result
+    return Word(letters, TERNARY), consumed
+
+
+def check_scan(first, second):
+    x, y = Word(first, BINARY), Word(second, BINARY)
+    assert _scan(first, second) == sequential_scan(first, second)
+    assert ternarize(x, y) == expected_ternarize(first, second)
+    assert ternarize_prefix(x, y) == expected_prefix(first, second)
+
+
+@st.composite
+def projection_pairs(draw, size):
+    """The two projections of a ternary word, perhaps cut short or with a bit
+    flipped, or two unrelated binary words."""
+    if draw(st.integers(0, 4)) == 0:
+        binary = st.text(st.sampled_from(BINARY), max_size=size)
+        return draw(binary), draw(binary)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    length = draw(st.integers(0, size))
+    word = Word("".join(rng.choice("AABCC") for _ in range(length)), TERNARY)
+    first, second = SPLIT_B01(word).text, SPLIT_B10(word).text
+    if draw(st.booleans()):
+        first = first[: draw(st.integers(0, len(first)))]
+    if draw(st.booleans()):
+        second = second[: draw(st.integers(0, len(second)))]
+    if draw(st.booleans()):
+        which = draw(st.booleans())
+        text = first if which else second
+        if text:
+            text = flip(text, draw(st.integers(0, len(text) - 1)))
+            first, second = (text, second) if which else (first, text)
+    return first, second
+
+
+class TestTernarization:
+    @PROPERTY
+    @given(projection_pairs(60), st.sampled_from((1, 2, 3, 5, 2**15)))
+    def test_against_sequential_scan_small_blocks(self, pair, block):
+        # Blocks of a few positions put many pairs across block boundaries.
+        with mock.patch.object(threeiet, "_SCAN_BLOCK", block):
+            check_scan(*pair)
+
+    @LONG
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((2**15, 2**16)),
+           st.integers(-3, 3), st.integers(-3, 3))
+    def test_pairs_across_block_boundaries(self, seed, boundary, cut, flip_at):
+        rng = random.Random(seed)
+        word = Word("".join(rng.choice("AABCC") for _ in range(boundary + 4)), TERNARY)
+        first, second = SPLIT_B01(word).text, SPLIT_B10(word).text
+        # Cut the pair, or flip one bit, near the block boundary `boundary`.
+        check_scan(first[: boundary + cut], second[: boundary + cut])
+        if rng.random() < 0.5:
+            first = flip(first, boundary + flip_at)
+        else:
+            second = flip(second, boundary + flip_at)
+        check_scan(first, second)
+
+    def test_reasons(self):
+        assert _scan("001", "011") == NotAmicable(2, "pair (0,1) not followed by (1,0)")
+        assert _scan("0110", "0010") == NotAmicable(1, "pair (1,0) matches no letter image")
+        assert _scan("01", "10") == ("B", 2)
+        assert _scan("000", "001") == ("AA", 2)
+
+
+def test_peak_memory_of_the_abmp_certificates():
+    script = (
+        "import resource\n"
+        "from ietlab.exactreal import QuadraticReal\n"
+        "from ietlab.threeiet import validate_params, verify_projections\n"
+        "params = validate_params(QuadraticReal(-1, 1, 5, 2), QuadraticReal(403, 0, 0, 500),\n"
+        "                         QuadraticReal(16, 0, 0, 125))\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "assert verify_projections(params, 200000, 12).passed\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert int(out.stdout) < 8 * 1024, out.stdout  # ru_maxrss is in KiB on Linux

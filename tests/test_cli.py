@@ -182,6 +182,16 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["formula"]["window_only"] is True
 
+    @pytest.mark.parametrize("argv", [
+        ("abmp", "--eps", GOLDEN_EPS, "--ell", "4/5", "-N", "2000", "--nmax", "-5"),
+        ("abmp", "--eps", GOLDEN_EPS, "--ell", "4/5", "-N", "2000", "--nmax", "0"),
+        ("theorem3", "--cf", "0,1,2,3,4,5", "-N", "20", "--nmax", "-2"),
+    ])
+    def test_nmax_below_one_names_flag(self, capsys, argv):
+        value = argv[-1]
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out, err) == (2, "", f"error: --nmax: must be >= 1 (got {value})\n")
+
 
 class TestExperiments:
     def test_ell_sweep_csv(self, capsys):

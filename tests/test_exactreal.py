@@ -219,6 +219,12 @@ class TestFloorFract:
                 y = QuadraticReal(7, -(10**e), 3, 11)
                 assert y.floor() == int(mp.floor(mp_value(y)))
 
+    def test_oracle_keeps_cancelled_digits(self):
+        # At the oracle's default 60 digits, 48 of which cancel here.
+        q = 10**48
+        x = QuadraticReal(-math.isqrt(2 * q * q), q, 2, 1)
+        assert mp.nstr(mp_value(x), 15) == x.decimal() == "0.948073176679738"
+
 
 class TestDecimalRendering:
     def test_known_values(self):

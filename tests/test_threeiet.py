@@ -208,6 +208,9 @@ class TestProjectionReport:
     def test_too_short_for_depth(self):
         with pytest.raises(ParameterError):
             verify_projections(GOLDEN, 30, 10)
+        for depth in (0, -5):  # no certificate would be checked at all
+            with pytest.raises(ParameterError, match="depth must be >= 1"):
+                verify_projections(GOLDEN, 2000, depth)
 
 
 class TestBoundReports:

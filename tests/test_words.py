@@ -16,7 +16,7 @@ from ietlab.words import (
     rotation_coding_morphism,
 )
 
-from oracles import EXCHANGE_01, fib_char_prefix, letter_permutation
+from oracles import EXCHANGE_01, factors, fib_char_prefix, letter_permutation
 
 
 def test_word_validation():
@@ -118,7 +118,7 @@ class TestFactorStatistics:
         w = Word("00100101", BINARY)
         assert w.factor_complexity(1) == 2
         assert w.factor_complexity(2) == 3
-        assert w.factors(2) == {"00", "01", "10"}
+        assert factors(w, 2) == {"00", "01", "10"}
         with pytest.raises(ParameterError):
             w.factor_complexity(9)
 
