@@ -4,15 +4,18 @@ The fractional repetition index of a finite word is the largest ratio
 (extension length) / period over all start positions and periods, where the
 extension is the longest stretch on which the word agrees with its own
 shift by the period.  The main path finds all maximal segments of exponent
-at least 2 (runs) from their Lyndon roots, as in the Runs Theorem: one
-prefix-doubling pass ranks every window of length 2^k, its last round
-orders the suffixes, a next-smaller and a next-greater pass over that order
-give one candidate period per position and letter order, and two
-longest-common-extension queries per candidate, answered from the saved
-rounds by binary lifting, turn it into a run or reject it.  That is at
-most 2n candidates and O(n log n) memory.  When no run exists a
-direct per-period sweep decides; ``brute_force_index`` is an independent
-reference implementation kept deliberately naive.
+at least 2 (runs) from their Lyndon roots, as in the Runs Theorem, with
+numpy kernels and no per-position Python loop.  One prefix-doubling pass
+ranks every window of length 2^k, compressing a round by in-place sorts of
+packed uint64 values; its last round orders the suffixes.  A search over
+block maxima of that order gives each position the end of its longest
+Lyndon word under the letter order or its reverse, and two
+longest-common-extension queries per pair, answered from the saved rounds
+by binary lifting, turn it into a run or reject it.  Pairs of period 1 are
+read off the letter blocks instead.  That is at most 2n candidates and
+O(n log n) int32 memory.  When no run exists a direct per-period sweep
+decides; ``brute_force_index`` is an independent reference implementation
+kept deliberately naive.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -79,16 +83,30 @@ class IndexReport:
 # runs engine: doubling ranks, binary-lifting LCE, Lyndon roots
 # ---------------------------------------------------------------------------
 
+def _packed_sort(values: np.ndarray, pbits: int) -> None:
+    """Sort the uint64 values (value << pbits) | position in place; the
+    caller guarantees that every value fits with its position in 64 bits."""
+    values <<= pbits
+    values |= np.arange(values.size, dtype=np.uint64)
+    values.sort()
+
+
 def _doubling_ranks(codes: np.ndarray) -> list[np.ndarray]:
     """Round k ranks every window text[i:i+2^k] in lexicographic order, with
     end-of-text below every letter, so equal ranks mean equal windows inside
     the text.  Each int32 array ends with a -1 at index n that equals no
     rank.  Round k+1 ranks (rank at i, rank at i + 2^k) by the key
-    rank * span + next + 1: the key itself while it fits in int32, else its
-    dense rank.  Doubling stops once all windows differ, so the last round
-    orders the suffixes (an inverse suffix array up to relabelling).
+    rank * span + next + 1 (next = -1 past the end), below top + 1.  A
+    packed round keeps the key itself; a sorted round replaces it by its
+    dense rank, read off value sorts of (key << pbits) | position.  A round
+    is packed only while its key fits in int32 and the next round's key
+    would still fit with a position in 64 bits.  Doubling stops once all
+    windows differ, so the last round orders the suffixes (an inverse
+    suffix array up to relabelling).
     """
     n = codes.size
+    pbits = (n - 1).bit_length()  # positions are below 2^pbits, and n <= 2^pbits
+    mask = (1 << pbits) - 1
     present = np.bincount(codes, minlength=256) > 0
     rank = np.empty(n + 1, dtype=np.int32)
     rank[n] = -1
@@ -98,21 +116,51 @@ def _doubling_ranks(codes: np.ndarray) -> list[np.ndarray]:
     rounds = [rank]
     h = 1
     while h < n and distinct < n:
-        # top < 2^31 - 1, so span <= 2^31 and every key is below 2^62
         span = top + 2
-        key = rank[:n].astype(np.int64) * span
-        key[: n - h] += rank[h:n] + 1
-        top = top * span + span - 1
+        top = top * span + span - 1  # bound of the key
+        key = rank[:n].astype(np.uint64)
+        key *= span
+        key[: n - h] += rank[h:n].view(np.uint32)
+        key[: n - h] += 1
         rank = np.empty(n + 1, dtype=np.int32)
         rank[n] = -1
-        if top < 2**31 - 1:
+        if top < 2**31 - 1 and ((top + 1) * (top + 2) - 1).bit_length() + pbits <= 64:
             rank[:n] = key
         else:
-            order = np.argsort(key)
-            key = key[order]
+            # The key with its position fits in 64 bits after the letter
+            # round (key < 2^16, pbits <= 30) and after a packed round, which
+            # was packed only on that condition.  Otherwise the ranks come
+            # from a sorted round and are dense, rank and next below n, so
+            # the key is below n (n + 1) < 2^(2 pbits + 1): 3 pbits + 1 bits
+            # with the position, which fit when n <= 2^21.  Past that, two
+            # stable LSD passes sort the keys: first the values
+            # (next + 1) << pbits | position, below 2^(2 pbits + 1), then
+            # rank << pbits | index in the first order, below 2^(2 pbits);
+            # both fit for n <= 2^31.  Dense ranks do not depend on how
+            # equal keys are ordered.
+            if top.bit_length() + pbits <= 64:
+                _packed_sort(key, pbits)
+                new = (key[1:] ^ key[:-1]) > mask
+                order = key
+                order &= mask
+                order = order.view(np.int64)
+            else:
+                order = key % span
+                _packed_sort(order, pbits)
+                order &= mask
+                order = order.view(np.int64)
+                second = key[order]
+                second //= span
+                _packed_sort(second, pbits)
+                second &= mask
+                order = order[second.view(np.int64)]
+                del second
+                ordered = key[order]
+                new = ordered[1:] != ordered[:-1]
+                del ordered
             dense = np.zeros(n, dtype=np.int32)
-            np.cumsum(key[1:] != key[:-1], out=dense[1:])
-            rank[order] = dense
+            np.cumsum(new, out=dense[1:])
+            rank[order] = dense  # positions are below 2^63: int64 indices scatter faster
             top = int(dense[-1])
             distinct = top + 1
         rounds.append(rank)
@@ -120,24 +168,26 @@ def _doubling_ranks(codes: np.ndarray) -> list[np.ndarray]:
     return rounds
 
 
-def _extensions(rounds: list[np.ndarray], ii: np.ndarray, jj: np.ndarray, forward: bool) -> np.ndarray:
-    """For pairs i < j <= n, the largest l with text[i:i+l] == text[j:j+l]
-    (forward) or text[i-l:i] == text[j-l:j] (backward).
+def _extensions(rounds: list[np.ndarray], jj: np.ndarray, forward: bool) -> np.ndarray:
+    """For the pairs i < j = jj[i] <= n, the largest l with
+    text[i:i+l] == text[j:j+l] (forward) or text[i-l:i] == text[j-l:j]
+    (backward).
 
     The last round's windows all differ, so l < 2^K, K = len(rounds) - 1.
     An upward pass finds, on a shrinking set of pairs, the largest 2^k that
     agrees at the pair; a downward pass adds each smaller 2^k that agrees
-    next, for the pairs that reached above k.
+    next, for the pairs that reached above k.  Positions and lengths stay
+    below n <= 2^30, so int32 holds every sum.
     """
     def agree(k, q, out):
         rank, size = rounds[k], 1 << k
         if forward:
-            return rank[ii[q] + out] == rank[jj[q] + out]
-        left = ii[q] - out - size
+            return rank[q + out] == rank[jj[q] + out]
+        left = q - out - size
         return (left >= 0) & (rank[np.maximum(left, 0)] == rank[jj[q] - out - size])
 
-    out = np.zeros(ii.size, dtype=np.int64)
-    reached = [np.arange(ii.size)]  # reached[k + 1]: pairs with l >= 2^k
+    out = np.zeros(jj.size, dtype=np.int32)
+    reached = [np.arange(jj.size, dtype=np.int32)]  # reached[k + 1]: pairs with l >= 2^k
     for k in range(len(rounds) - 1):
         q = reached[-1]
         q = q[agree(k, q, 0)]
@@ -147,37 +197,71 @@ def _extensions(rounds: list[np.ndarray], ii: np.ndarray, jj: np.ndarray, forwar
         reached.append(q)
     for k in range(len(reached) - 3, -1, -1):
         q = reached[k + 2]
-        out[q] += agree(k, q, out[q]).astype(np.int64) << k
+        out[q] += agree(k, q, out[q]).astype(np.int32) << k
     return out
 
 
-def _lyndon_ends(isa: list[int]) -> np.ndarray:
-    """For each i the next j > i of smaller rank, then for each i the next
-    j > i of greater rank (n when there is none).  Ranks are distinct, so
-    one of the two is i + 1; the other is walked from the ends at i + 1."""
-    n = len(isa)
-    smaller = [n] * n
-    greater = [n] * n
-    for i in range(n - 2, -1, -1):
-        v = isa[i]
-        j = i + 1
-        if isa[j] < v:
-            smaller[i] = j
-            j = greater[j]
-            while j < n and isa[j] < v:
-                j = greater[j]
-            greater[i] = j
-        else:
-            greater[i] = j
-            j = smaller[j]
-            while j < n and isa[j] > v:
-                j = smaller[j]
-            smaller[i] = j
-    return np.asarray(smaller + greater, dtype=np.int64)
+def _first_above(values: np.ndarray, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """For each query, the first j >= p[q] with values[j] > v[q], or n when
+    there is none; p (int32, p <= n) is overwritten with the answers.
+
+    Rows off[k] + q of the table hold the maximum of the aligned block
+    values[q 2^k : (q + 1) 2^k], under 2n rows in all.  Climbing, level k
+    skips the block at p when bit k of p is set and the block holds no
+    winner, so p stays aligned to 2^(k + 1); the first block that holds a
+    winner is then halved down to its first winner.
+    """
+    n = values.size
+    sizes = [n]
+    while sizes[-1] > 1:
+        sizes.append((sizes[-1] + 1) // 2)
+    off = list(accumulate(sizes, initial=0))
+    tab = np.empty(off[-1], dtype=np.int32)
+    tab[:n] = values
+    for k in range(1, len(sizes)):
+        below, here = tab[off[k - 1] : off[k]], tab[off[k] : off[k + 1]]
+        pairs = sizes[k - 1] // 2
+        np.maximum(below[0 : 2 * pairs : 2], below[1 : 2 * pairs : 2], out=here[:pairs])
+        here[pairs:] = below[2 * pairs :]
+    level = np.full(p.size, -1, dtype=np.int8)  # level of the first block holding a winner
+    live = np.flatnonzero(p < n).astype(np.int32)
+    k = 0
+    while live.size:
+        at = live[(p[live] >> k) & 1 == 1]
+        won = tab[off[k] + (p[at] >> k)] > v[at]
+        level[at[won]] = k
+        p[at[~won]] += 1 << k
+        live = live[(level[live] < 0) & (p[live] < n)]
+        k += 1
+    for k in range(k - 1, 0, -1):
+        at = np.flatnonzero(level >= k)
+        won = tab[off[k - 1] + (p[at] >> (k - 1))] > v[at]
+        p[at[~won]] += 1 << (k - 1)
+    p[level < 0] = n
+    return p
+
+
+def _lyndon_ends(isa: np.ndarray) -> np.ndarray:
+    """For each i < n - 1 of the distinct int32 ranks isa, the one of the
+    next j > i of smaller rank and the next j > i of greater rank (n when
+    there is none) that is not i + 1.
+
+    One of the two is i + 1, so the other is the first j >= i + 2 whose rank
+    lies on the other side of isa[i] than isa[i + 1]: a greater rank in
+    isa, or a greater value in ~isa = -1 - isa for a smaller rank.
+    """
+    n = isa.size
+    ends = np.empty(n - 1, dtype=np.int32)
+    rising = isa[1:] > isa[:-1]
+    for values, at in ((isa, np.flatnonzero(~rising)), (~isa, np.flatnonzero(rising))):
+        at = at.astype(np.int32)
+        ends[at] = _first_above(values, at + 2, values[at])
+    return ends
 
 
 def _run_candidates(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximal periodic segments of exponent >= 2 as (start, end, period).
+    """Maximal periodic segments of exponent >= 2 as int32 (start, end,
+    period).
 
     Order 0 is the letter order with end-of-text smallest; order 1 is its
     exact reverse (letters reversed, end-of-text largest), so its suffix
@@ -200,16 +284,35 @@ def _run_candidates(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     * Another kept pair is a segment of period p, length >= 2p and maximal
       for p; by Fine and Wilf its span is a run whose minimal period
       divides p, found as above.
+
+    Ranks are distinct, so at each i < n - 1 one order gives j = i + 1 and
+    i = n - 1 gives j = n in both.  A period-1 pair kept this way spans the
+    maximal letter block around it, so these pairs are replaced by the
+    blocks of length >= 2, read off the letter changes; only the other end
+    at each i is extended.
     """
     n = len(text)
-    rounds = _doubling_ranks(np.frombuffer(text.encode("ascii"), dtype=np.uint8))
-    ii = np.tile(np.arange(n, dtype=np.int64), 2)
-    jj = _lyndon_ends(rounds[-1][:n].tolist())
-    period = jj - ii
-    f = _extensions(rounds, ii, jj, forward=True)
-    b = _extensions(rounds, ii, jj, forward=False)
-    keep = f + b >= period
-    return ii[keep] - b[keep], jj[keep] + f[keep], period[keep]
+    if n > 2**30:
+        raise ParameterError(f"word of length {n} exceeds the runs engine's limit (2^30)")
+    codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    cuts = np.flatnonzero(codes[1:] != codes[:-1])
+    edges = np.empty(cuts.size + 2, dtype=np.int32)  # letter-block boundaries
+    edges[0] = 0
+    edges[1:-1] = cuts + 1
+    edges[-1] = n
+    blocks = np.flatnonzero(np.diff(edges) >= 2)
+    rounds = _doubling_ranks(codes)
+    jj = _lyndon_ends(rounds[-1][:n])
+    f = _extensions(rounds, jj, forward=True)
+    b = _extensions(rounds, jj, forward=False)
+    del rounds
+    period = jj - np.arange(n - 1, dtype=np.int32)
+    keep = np.flatnonzero(f + b >= period)
+    return (
+        np.concatenate((edges[blocks], keep.astype(np.int32) - b[keep])),
+        np.concatenate((edges[blocks + 1], jj[keep] + f[keep])),
+        np.concatenate((np.ones(blocks.size, dtype=np.int32), period[keep])),
+    )
 
 
 def _fractional_best(text: str) -> tuple[int, int, int]:
@@ -249,7 +352,8 @@ def _best_extension(start: np.ndarray, end: np.ndarray, period: np.ndarray) -> t
     length * 2^31 / period picks a first champion; each further pass moves
     to a strictly better ratio until none is left.
     """
-    lengths = end - start
+    lengths = (end - start).astype(np.int64)
+    period = period.astype(np.int64)
     best = int(((lengths << 31) // period).argmax())
     while True:
         gain = lengths * period[best] - lengths[best] * period
@@ -274,7 +378,7 @@ def max_runs(prefix: Word) -> list[Run]:
     if start.size == 0:
         return []
     n = len(prefix)
-    key = start * (n + 1) + end
+    key = start.astype(np.int64) * (n + 1) + end
     order = np.lexsort((period, key))
     key_sorted = key[order]
     first = np.ones(key_sorted.size, dtype=bool)
@@ -312,16 +416,10 @@ def word_index_estimate(prefix: Word) -> IndexReport:
     )
 
 
-def max_integer_power(prefix: Word) -> tuple[int, Word]:
-    """The largest j with some nonempty w such that w^j occurs, and such a w."""
-    report = word_index_estimate(prefix)
-    return report.max_power, Word(report.max_power_witness, prefix.alphabet)
-
-
 def brute_force_index(prefix: Word) -> Fraction:
     """Reference repetition index by trying every (start, period) pair.
 
-    Deliberately independent of the suffix-array path; guarded against long
+    Deliberately independent of the runs engine; guarded against long
     inputs because of its quadratic-or-worse cost.
     """
     text = prefix.text

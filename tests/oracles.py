@@ -11,6 +11,7 @@ from mpmath import mp, mpf, sqrt
 
 from ietlab.errors import ParameterError
 from ietlab.exactreal import QuadraticReal
+from ietlab.repetitions import word_index_estimate
 from ietlab.threeiet import NotAmicable
 from ietlab.words import BINARY, BalanceCheck, Morphism, Word
 
@@ -145,6 +146,40 @@ def naive_max_power(text):
             if j > best:
                 best = j
     return best
+
+
+def max_integer_power(prefix):
+    """The largest j with some nonempty w such that w^j occurs, and such a w,
+    read off the index report."""
+    report = word_index_estimate(prefix)
+    return report.max_power, Word(report.max_power_witness, prefix.alphabet)
+
+
+def sequential_lyndon_ends(isa):
+    """For each i the next j > i of smaller rank, then for each i the next
+    j > i of greater rank (n when there is none), for distinct ranks.
+
+    One of the two is i + 1; the other is walked from the ends at i + 1.
+    """
+    n = len(isa)
+    smaller = [n] * n
+    greater = [n] * n
+    for i in range(n - 2, -1, -1):
+        v = isa[i]
+        j = i + 1
+        if isa[j] < v:
+            smaller[i] = j
+            j = greater[j]
+            while j < n and isa[j] < v:
+                j = greater[j]
+            greater[i] = j
+        else:
+            greater[i] = j
+            j = smaller[j]
+            while j < n and isa[j] > v:
+                j = smaller[j]
+            smaller[i] = j
+    return smaller, greater
 
 
 def random_word(rng, alphabet, max_len, min_len=1):

@@ -129,6 +129,14 @@ class TestIndex:
         data = json.loads(out)
         assert (data["index_num"], data["index_den"]) == (7, 3)
 
+    @pytest.mark.parametrize("content", ["", " \n\t\n  \n"])
+    def test_file_without_word_exits_2(self, capsys, tmp_path, content):
+        path = tmp_path / "words.txt"
+        path.write_text(content)
+        code, out, err = run(capsys, "index", "--file", str(path))
+        assert code == 2 and out == ""
+        assert "no word found" in err
+
     def test_needs_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "index", "--word", "aa", "--kind", "3iet")
         assert code == 2 and "exactly one" in err

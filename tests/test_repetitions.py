@@ -10,7 +10,6 @@ from ietlab.errors import ParameterError
 from ietlab.repetitions import (
     Run,
     brute_force_index,
-    max_integer_power,
     max_runs,
     word_index_estimate,
 )
@@ -20,6 +19,7 @@ from oracles import (
     factor_index_in,
     fib_char_prefix,
     letter_permutation,
+    max_integer_power,
     naive_index,
     naive_max_power,
     naive_runs,

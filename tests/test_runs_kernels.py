@@ -1,0 +1,142 @@
+"""The numpy kernels inside the runs engine against direct references.
+
+`_lyndon_ends` is compared with the sequential next-smaller/next-greater
+walk; the doubling sort is checked on two words longer than 2^21 letters,
+where one packed sort key uses all 64 bits and where the keys no longer fit
+and two sorting passes take over.
+"""
+
+import hashlib
+import random
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ietlab.errors import ParameterError
+from ietlab.exactreal import CFExpansion
+from ietlab.repetitions import (
+    _doubling_ranks,
+    _lyndon_ends,
+    _run_candidates,
+    word_index_estimate,
+)
+from ietlab.sturmian import characteristic_prefix
+from ietlab.words import Word
+
+from oracles import sequential_lyndon_ends
+
+ENDS = settings(max_examples=300, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def check_ends(isa):
+    """The kernel's end at each i < n - 1 is the sequential end that is not i + 1."""
+    isa = np.asarray(isa, dtype=np.int32)
+    smaller, greater = sequential_lyndon_ends(isa.tolist())
+    expected = []
+    for i, pair in enumerate(zip(smaller[:-1], greater[:-1])):
+        assert pair.count(i + 1) == 1
+        expected.append(pair[0] if pair[1] == i + 1 else pair[1])
+    ends = _lyndon_ends(isa)
+    assert ends.dtype == np.int32
+    assert ends.tolist() == expected
+
+
+# lengths around powers of two leave a partial last block at every level
+EDGE_LENGTHS = [m for k in range(1, 8) for m in (2**k - 1, 2**k, 2**k + 1)]
+
+
+@ENDS
+@given(st.one_of(st.integers(1, 200), st.sampled_from(EDGE_LENGTHS))
+       .flatmap(lambda n: st.permutations(range(n))))
+def test_ends_of_permutations(ranks):
+    check_ends(ranks)
+
+
+@ENDS
+@given(st.lists(st.integers(0, 2**31 - 2), min_size=1, max_size=200, unique=True))
+def test_ends_of_sparse_distinct_ranks(ranks):
+    # a packed last round holds distinct ranks that are not 0..n-1
+    check_ends(ranks)
+
+
+def test_ends_of_monotone_ranks():
+    for n in (1, 2, 3, 127, 128, 129, 1000):
+        check_ends(range(n))
+        check_ends(range(n - 1, -1, -1))
+
+
+def test_ends_of_rise_then_fall():
+    # a^m b^m: ranks rise along the a's and fall along the b's
+    m = 2**15
+    codes = np.frombuffer(b"a" * m + b"b" * m, dtype=np.uint8)
+    check_ends(_doubling_ranks(codes)[-1][: 2 * m])
+
+
+def suffix_less(text, a, b):
+    """text[a:] < text[b:], by windows that double until they differ."""
+    size = 64
+    while True:
+        x, y = text[a : a + size], text[b : b + size]
+        if x != y or len(x) < size:
+            return x < y
+        size *= 2
+
+
+def check_long_word(text, key_bits, golden):
+    n = len(text)
+    codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    rounds = _doubling_ranks(codes)
+    # the last round's key bound, from the dense ranks before it, and positions
+    top = int(rounds[-2][:n].max())
+    assert ((top + 1) * (top + 2) - 1).bit_length() + (n - 1).bit_length() == key_bits
+    last = rounds[-1]
+    del rounds
+    assert np.array_equal(np.sort(last[:n]), np.arange(n))
+    order = np.empty(n, dtype=np.int64)
+    order[last[:n]] = np.arange(n)
+    for k in random.Random(n).sample(range(n - 1), 2000):
+        assert suffix_less(text, int(order[k]), int(order[k + 1]))
+    # Every neighbour pair in the order compares by its first letter, then by
+    # the ranks of the suffixes one letter on (-1 for the empty suffix at n).
+    # By induction on suffix length this holds only for the suffix order.
+    a, b = order[:-1], order[1:]
+    assert ((codes[a] < codes[b]) | ((codes[a] == codes[b]) & (last[a + 1] < last[b + 1]))).all()
+    report = word_index_estimate(Word.from_text(text)).to_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == golden
+
+
+def test_full_width_packed_sort():
+    # the last round sorts 42 key bits and 22 position bits in one pass
+    word = characteristic_prefix(CFExpansion.from_quotients([1, 2, 3, 4] * 10), 2**21 + 1)
+    check_long_word(word.text, 64,
+                    "77c07dfda51fcc64b6bee3abaa414858cbff4e91a5b99ff587a1ebac6953f8aa")
+
+
+def test_two_pass_sort():
+    # over 2^21 distinct windows of length 32 make the next key need 43 bits
+    # besides 22 position bits, so the later rounds sort in two passes; a
+    # planted 40th power of an 11-letter root gives the report a real witness
+    n = 2**21 + 2**16
+    rng = random.Random(2017)
+
+    def bits(k):
+        return format(rng.getrandbits(k), f"0{k}b")
+
+    root = bits(11)
+    head = bits(10**6)
+    text = head + root * 40 + bits(n - 10**6 - 440)
+    check_long_word(text, 65,
+                    "444c612921a50a737aac9eb4316043fe8df02b89fa98b6a99ae50e18eef3d08d")
+
+
+def test_engine_refuses_words_past_int32_positions():
+    # block-maximum rows reach 2n, so a longer word would wrap int32 indices
+    class Huge(str):
+        def __len__(self):
+            return 2**30 + 1
+
+    with pytest.raises(ParameterError, match="2\\^30"):
+        _run_candidates(Huge("ab"))
