@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -120,6 +121,47 @@ def _threeiet_params(args, kind: str) -> ThreeIetParams:
     )
 
 
+# Peak resident memory, fitted to `ietlab` runs at N = 1e6, 4e6 and 1e7 on
+# x86-64 Linux with numpy 2.4: about 32 MiB for the interpreter with numpy,
+# plus per letter under 16 bytes for the generators and the Sturmian
+# certificates, or, with the runs engine, 48 bytes and one kept int32
+# doubling round (4 bytes) per bit of N.  `index` on the silver 3iet word
+# peaked at 148, 528 and 1291 MiB against estimates of 154, 550 and 1405.
+BASE_BYTES = 32 * 2**20
+
+
+def _estimated_bytes(args, n_letters: int) -> int:
+    """Estimated peak bytes of the command in ``args`` on n_letters letters."""
+    if args.command == "generate" or getattr(args, "check", None) in ("abmp", "blocks"):
+        return BASE_BYTES + 16 * n_letters
+    if getattr(args, "experiment", None) == "ell-sweep":
+        n_letters *= 2  # the collapsed word (B -> 01) has at most twice the letters
+    return BASE_BYTES + n_letters * (48 + 4 * n_letters.bit_length())
+
+
+def _memory_limit() -> int:
+    """Physical memory, or the cgroup v2 limit of this process when it is
+    readable and lower."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    try:
+        with open("/sys/fs/cgroup/memory.max", encoding="ascii") as handle:
+            cgroup = handle.read().strip()
+    except OSError:
+        return limit
+    return min(limit, int(cgroup)) if cgroup.isdigit() else limit
+
+
+def _require_memory(args, n_letters: int, flag: str):
+    """Refuse a length whose estimated peak memory exceeds the limit, before
+    anything of that size is allocated."""
+    need, limit = _estimated_bytes(args, n_letters), _memory_limit()
+    if need > limit:
+        raise ParameterError(
+            f"{flag}: {n_letters} letters need about {need // 2**20} MiB, "
+            f"above the {limit // 2**20} MiB memory limit"
+        )
+
+
 def _fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
@@ -206,6 +248,7 @@ def _cmd_index(args) -> int:
             raise ParameterError(f"{args.file}: words must be plain ASCII") from None
         if not lines:
             raise ParameterError(f"{args.file}: no word found")
+        _require_memory(args, len(lines[0]), "--file")
         word = Word.from_text(lines[0])
     else:
         word = _build_word(args)
@@ -367,6 +410,7 @@ def _experiment_index_convergence(args) -> tuple[list[str], list[dict]]:
     lengths = _int_list(args.lengths, "--lengths")
     for n in lengths:
         require_length(n, "--lengths")
+    _require_memory(args, max(lengths), "--lengths")
     params = _validate_flags(eps, ell, x0)
     _, lower, _ = index_bounds(params.epsilon)
     word = threeiet_word(params, max(lengths))
@@ -455,6 +499,7 @@ def main(argv=None) -> int:
     try:
         if args.length is not None:
             require_length(args.length, "-N")
+            _require_memory(args, args.length, "-N")
         if getattr(args, "nmax", None) is not None and args.nmax < 1:
             raise ParameterError(f"--nmax: must be >= 1 (got {args.nmax})")
         return args.handler(args)

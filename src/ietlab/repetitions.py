@@ -7,12 +7,15 @@ shift by the period.  The main path finds all maximal segments of exponent
 at least 2 (runs) from their Lyndon roots, as in the Runs Theorem, with
 numpy kernels and no per-position Python loop.  One prefix-doubling pass
 ranks every window of length 2^k, compressing a round by in-place sorts of
-packed uint64 values; its last round orders the suffixes.  A search over
-block maxima of that order gives each position the end of its longest
-Lyndon word under the letter order or its reverse, and two
-longest-common-extension queries per pair, answered from the saved rounds
-by binary lifting, turn it into a run or reject it.  Pairs of period 1 are
-read off the letter blocks instead.  That is at most 2n candidates and
+packed uint64 values; its last round orders the suffixes.  Each position
+pairs with the end of its longest Lyndon word under the letter order or its
+reverse: contiguous comparisons of the suffix order settle the ends within
+a few positions, and a search over block maxima finds the rest.  Two
+longest-common-extension queries per pair turn it into a run or reject it.
+Each query first compares m letters at once, packed into one uint64 per
+position, and only the pairs that agree on all m go on to binary lifting
+over the saved doubling rounds of length m and above.  Pairs of period 1
+are read off the letter blocks instead.  That is at most 2n candidates and
 O(n log n) int32 memory.  When no run exists a direct per-period sweep
 decides; ``brute_force_index`` is an independent reference implementation
 kept deliberately naive.
@@ -91,27 +94,36 @@ def _packed_sort(values: np.ndarray, pbits: int) -> None:
     values.sort()
 
 
-def _doubling_ranks(codes: np.ndarray) -> list[np.ndarray]:
+def _letter_labels(codes: np.ndarray) -> np.ndarray:
+    """uint8 labels of the n letter codes, 1..k in alphabet order, followed
+    by a 0 at index n for end-of-text (k <= 128 for ASCII letters)."""
+    present = np.bincount(codes, minlength=256) > 0
+    labels = np.zeros(codes.size + 1, dtype=np.uint8)
+    labels[:-1] = np.cumsum(present, dtype=np.uint8)[codes]
+    return labels
+
+
+def _doubling_ranks(labels: np.ndarray, keep_from: int) -> list[np.ndarray | None]:
     """Round k ranks every window text[i:i+2^k] in lexicographic order, with
     end-of-text below every letter, so equal ranks mean equal windows inside
-    the text.  Each int32 array ends with a -1 at index n that equals no
-    rank.  Round k+1 ranks (rank at i, rank at i + 2^k) by the key
+    the text.  Round 0 is labels - 1 for the n + 1 labels of
+    ``_letter_labels``.  Each int32 array ends with a -1 at index n that
+    equals no rank.  Round k+1 ranks (rank at i, rank at i + 2^k) by the key
     rank * span + next + 1 (next = -1 past the end), below top + 1.  A
     packed round keeps the key itself; a sorted round replaces it by its
     dense rank, read off value sorts of (key << pbits) | position.  A round
     is packed only while its key fits in int32 and the next round's key
     would still fit with a position in 64 bits.  Doubling stops once all
     windows differ, so the last round orders the suffixes (an inverse
-    suffix array up to relabelling).
+    suffix array up to relabelling).  Rounds below ``keep_from`` are None
+    once the next round is built, except the last, which is always kept.
     """
-    n = codes.size
+    n = labels.size - 1
     pbits = (n - 1).bit_length()  # positions are below 2^pbits, and n <= 2^pbits
     mask = (1 << pbits) - 1
-    present = np.bincount(codes, minlength=256) > 0
-    rank = np.empty(n + 1, dtype=np.int32)
-    rank[n] = -1
-    rank[:n] = (np.cumsum(present) - 1)[codes]
-    top = int(present.sum()) - 1  # an upper bound of the ranks
+    rank = labels.astype(np.int32)
+    rank -= 1
+    top = int(labels.max()) - 1  # an upper bound of the ranks
     distinct = top + 1  # counted only when ranks are made dense
     rounds = [rank]
     h = 1
@@ -122,6 +134,8 @@ def _doubling_ranks(codes: np.ndarray) -> list[np.ndarray]:
         key *= span
         key[: n - h] += rank[h:n].view(np.uint32)
         key[: n - h] += 1
+        if len(rounds) <= keep_from:
+            rounds[-1] = None
         rank = np.empty(n + 1, dtype=np.int32)
         rank[n] = -1
         if top < 2**31 - 1 and ((top + 1) * (top + 2) - 1).bit_length() + pbits <= 64:
@@ -168,16 +182,59 @@ def _doubling_ranks(codes: np.ndarray) -> list[np.ndarray]:
     return rounds
 
 
-def _extensions(rounds: list[np.ndarray], jj: np.ndarray, forward: bool) -> np.ndarray:
+def _packing_width(k: int) -> int:
+    """The letters m per uint64 packing for k letters: the largest power of
+    two with m * bit_length(k) <= 64, so a label 0..k fits each slot."""
+    return 1 << ((64 // k.bit_length()).bit_length() - 1)
+
+
+def _packed_letters(labels: np.ndarray, m: int) -> np.ndarray:
+    """uint64 P[i] holding labels[i:i+m] little-endian in m slots of 64 / m
+    bits, zero past the end; built by m - 1 shifted ORs in log2 m passes."""
+    slot = 64 // m
+    packed = labels.astype(np.uint64)
+    shifted = np.empty_like(packed)
+    width = 1
+    while width < min(m, packed.size):
+        rest = packed.size - width
+        np.left_shift(packed[width:], np.uint64(slot * width), out=shifted[:rest])
+        packed[:rest] |= shifted[:rest]
+        width *= 2
+    return packed
+
+
+def _equal_slots(x: np.ndarray, m: int) -> np.ndarray:
+    """For x = P[a] ^ P[b] of two packings, the number of equal leading
+    letters, at most m, as int32: the trailing zero bits of x (64 when x is
+    0) over the slot width.  x is overwritten."""
+    low = x - np.uint64(1)
+    x = np.invert(x, out=x)
+    low &= x  # (x - 1) & ~x is the mask of the trailing zeros of x
+    return (np.bitwise_count(low) >> ((64 // m).bit_length() - 1)).astype(np.int32)
+
+
+def _extensions(
+    rounds: list[np.ndarray | None], packed: np.ndarray, m: int, jj: np.ndarray, forward: bool
+) -> np.ndarray:
     """For the pairs i < j = jj[i] <= n, the largest l with
     text[i:i+l] == text[j:j+l] (forward) or text[i-l:i] == text[j-l:j]
     (backward).
 
-    The last round's windows all differ, so l < 2^K, K = len(rounds) - 1.
-    An upward pass finds, on a shrinking set of pairs, the largest 2^k that
-    agrees at the pair; a downward pass adds each smaller 2^k that agrees
-    next, for the pairs that reached above k.  Positions and lengths stay
-    below n <= 2^30, so int32 holds every sum.
+    ``packed`` holds m letters per position from ``_packed_letters``: forward
+    P[i] = text[i:i+m], backward P[i] = text[i-1], text[i-2], ... (the
+    packing of the reversed text, read backwards).  One packed comparison
+    per pair counts its first m letters.  Both ends of the text need no
+    special case: the label 0 of end-of-text equals no letter, and the side
+    of the pair nearer the end (j forward, i backward) meets it while the
+    other still reads a letter.  Only the pairs with m equal letters go on
+    to binary lifting over rounds log2 m and above, which ``_doubling_ranks``
+    keeps: an upward pass finds, on a shrinking set of pairs, the largest
+    2^k that agrees at the pair, and a downward pass adds each smaller 2^k
+    down to m that agrees next.  One more packed comparison at the reached
+    offset adds the last fewer than m letters.  The last round's windows
+    all differ, so l < 2^K, K = len(rounds) - 1, and a pair with l >= m
+    implies rounds above log2 m.  Positions and lengths stay below
+    n <= 2^30, so int32 holds every sum.
     """
     def agree(k, q, out):
         rank, size = rounds[k], 1 << k
@@ -186,18 +243,26 @@ def _extensions(rounds: list[np.ndarray], jj: np.ndarray, forward: bool) -> np.n
         left = q - out - size
         return (left >= 0) & (rank[np.maximum(left, 0)] == rank[jj[q] - out - size])
 
-    out = np.zeros(jj.size, dtype=np.int32)
-    reached = [np.arange(jj.size, dtype=np.int32)]  # reached[k + 1]: pairs with l >= 2^k
-    for k in range(len(rounds) - 1):
+    x = packed[jj]
+    x ^= packed[: jj.size]
+    out = _equal_slots(x, m)
+    del x
+    lift = m.bit_length() - 1
+    reached = [np.flatnonzero(out == m).astype(np.int32)]  # reached[t]: pairs with l >= 2^(lift + t)
+    for k in range(lift + 1, len(rounds) - 1):
         q = reached[-1]
         q = q[agree(k, q, 0)]
         if q.size == 0:
             break
         out[q] = 1 << k
         reached.append(q)
-    for k in range(len(reached) - 3, -1, -1):
-        q = reached[k + 2]
+    for t in range(len(reached) - 1, 0, -1):
+        q = reached[t]
+        k = lift + t - 1
         out[q] += agree(k, q, out[q]).astype(np.int32) << k
+    q = reached[0]
+    at = out[q] if forward else -out[q]
+    out[q] += _equal_slots(packed[q + at] ^ packed[jj[q] + at], m)
     return out
 
 
@@ -241,21 +306,41 @@ def _first_above(values: np.ndarray, p: np.ndarray, v: np.ndarray) -> np.ndarray
     return p
 
 
+# The reach of the contiguous scan in `_lyndon_ends`.  90% of the ends lie
+# within 16 positions on the silver 3iet word (eps = sqrt2 - 1, ell = 7/10,
+# 2e5 letters), 92% on a characteristic word (3e5 letters, partial
+# quotients 1..4).  At 1e6 letters of either word `_lyndon_ends` took
+# 120-140 ms with a reach of 8 or 16, 270-280 ms with none and 175-200 ms
+# with 32 (2-core x86-64 VM).
+SHORT_ENDS = 16
+
+
 def _lyndon_ends(isa: np.ndarray) -> np.ndarray:
     """For each i < n - 1 of the distinct int32 ranks isa, the one of the
     next j > i of smaller rank and the next j > i of greater rank (n when
     there is none) that is not i + 1.
 
     One of the two is i + 1, so the other is the first j >= i + 2 whose rank
-    lies on the other side of isa[i] than isa[i + 1]: a greater rank in
-    isa, or a greater value in ~isa = -1 - isa for a smaller rank.
+    lies on the other side of isa[i] than isa[i + 1]: isa[j] > isa[i]
+    differs from rising[i] = isa[i + 1] > isa[i].  Contiguous comparisons
+    of isa[d:] with isa[:-d] for d = 2..SHORT_ENDS settle every end within
+    SHORT_ENDS positions, the smallest such d winning.  The open positions
+    search from i + SHORT_ENDS + 1 for the first greater value in isa, or
+    in ~isa = -1 - isa for a smaller rank.
     """
     n = isa.size
-    ends = np.empty(n - 1, dtype=np.int32)
     rising = isa[1:] > isa[:-1]
-    for values, at in ((isa, np.flatnonzero(~rising)), (~isa, np.flatnonzero(rising))):
-        at = at.astype(np.int32)
-        ends[at] = _first_above(values, at + 2, values[at])
+    dist = np.zeros(n - 1, dtype=np.int8)
+    for d in range(min(SHORT_ENDS, n - 1), 1, -1):
+        hit = isa[d:] > isa[:-d]
+        hit ^= rising[: n - d]
+        np.copyto(dist[: n - d], d, where=hit)
+    ends = np.arange(n - 1, dtype=np.int32)
+    ends += dist
+    at = np.flatnonzero(dist == 0).astype(np.int32)
+    up = rising[at]
+    for values, q in ((isa, at[~up]), (~isa, at[up])):
+        ends[q] = _first_above(values, np.minimum(q + SHORT_ENDS + 1, n), values[q])
     return ends
 
 
@@ -301,11 +386,14 @@ def _run_candidates(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     edges[1:-1] = cuts + 1
     edges[-1] = n
     blocks = np.flatnonzero(np.diff(edges) >= 2)
-    rounds = _doubling_ranks(codes)
+    labels = _letter_labels(codes)
+    m = _packing_width(int(labels.max()))
+    rounds = _doubling_ranks(labels, m.bit_length() - 1)
     jj = _lyndon_ends(rounds[-1][:n])
-    f = _extensions(rounds, jj, forward=True)
-    b = _extensions(rounds, jj, forward=False)
-    del rounds
+    f = _extensions(rounds, _packed_letters(labels, m), m, jj, forward=True)
+    labels[:n] = labels[n - 1 :: -1]
+    b = _extensions(rounds, _packed_letters(labels, m)[::-1], m, jj, forward=False)
+    del rounds, labels
     period = jj - np.arange(n - 1, dtype=np.int32)
     keep = np.flatnonzero(f + b >= period)
     return (

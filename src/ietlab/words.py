@@ -90,18 +90,6 @@ class Word:
     def count(self, letter: str) -> int:
         return self.text.count(letter)
 
-    def shift(self, i: int) -> "Word":
-        """Drop the first i letters (finite restriction of the shift map)."""
-        if not 0 <= i <= len(self.text):
-            raise ParameterError(f"shift amount {i} exceeds word length {len(self.text)}")
-        return Word._trusted(self.text[i:], self.alphabet)
-
-    def cyclic_shift(self) -> "Word":
-        """Move the first letter to the end."""
-        if not self.text:
-            raise ParameterError("cyclic shift of the empty word")
-        return Word._trusted(self.text[1:] + self.text[0], self.alphabet)
-
     def factor_complexity(self, n: int) -> int:
         """Number of distinct length-n factors.
 

@@ -182,6 +182,35 @@ def sequential_lyndon_ends(isa):
     return smaller, greater
 
 
+def naive_extension(text, i, j, forward):
+    """The largest l with text[i:i+l] == text[j:j+l] (forward) or
+    text[i-l:i] == text[j-l:j] (backward), for i < j <= len(text), one
+    letter at a time."""
+    n = len(text)
+    length = 0
+    if forward:
+        while j + length < n and text[i + length] == text[j + length]:
+            length += 1
+    else:
+        while i - length > 0 and text[i - length - 1] == text[j - length - 1]:
+            length += 1
+    return length
+
+
+def shift(word, i):
+    """Drop the first i letters (finite restriction of the shift map)."""
+    if not 0 <= i <= len(word):
+        raise ParameterError(f"shift amount {i} exceeds word length {len(word)}")
+    return Word(word.text[i:], word.alphabet)
+
+
+def cyclic_shift(word):
+    """Move the first letter to the end."""
+    if not word.text:
+        raise ParameterError("cyclic shift of the empty word")
+    return Word(word.text[1:] + word.text[0], word.alphabet)
+
+
 def random_word(rng, alphabet, max_len, min_len=1):
     length = rng.randint(min_len, max_len)
     return "".join(rng.choice(alphabet) for _ in range(length))

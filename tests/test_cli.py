@@ -1,12 +1,16 @@
 """Tests for the command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
+import re
+import resource
 import subprocess
 import sys
 import time
 
 import pytest
 
+from ietlab import cli
 from ietlab.cli import main
 from ietlab.exactreal import _squarefree_split
 
@@ -136,6 +140,16 @@ class TestIndex:
         code, out, err = run(capsys, "index", "--file", str(path))
         assert code == 2 and out == ""
         assert "no word found" in err
+
+    def test_file_over_the_memory_limit_exits_2(self, capsys, tmp_path, monkeypatch):
+        # the check runs on the word read from the file, before the engine
+        path = tmp_path / "words.txt"
+        path.write_text("ab" * 500 + "\n")
+        monkeypatch.setattr(cli, "_memory_limit", lambda: cli.BASE_BYTES)
+        code, out, err = run(capsys, "index", "--file", str(path))
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"error: --file: 1000 letters need about 32 MiB, "
+                            r"above the 32 MiB memory limit\n", err)
 
     def test_needs_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "index", "--word", "aa", "--kind", "3iet")
@@ -268,6 +282,37 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["generate"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("index", "--kind", "3iet", "--eps", SILVER_EPS, "--ell", "7/10"),
+    ("verify", "bounds", "--eps", SILVER_EPS, "--ell", "7/10"),
+    ("verify", "theorem3", "--cf", "0,2,2,2,2"),
+    ("experiment", "ell-sweep", "--eps", SILVER_EPS, "--ell", "7/10"),
+    ("generate", "3iet", "--eps", SILVER_EPS, "--ell", "7/10"),
+])
+def test_oversized_length_refused_before_allocating(argv):
+    # Under a 2 GiB address-space cap a 2^31-letter word cannot be built, so
+    # a refusal after any allocation of that size would exit 1, not 2.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "ietlab", *argv, "-N", str(2**31)],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert re.fullmatch(r"error: -N: 2147483648 letters need about \d+ MiB, "
+                        r"above the \d+ MiB memory limit\n", result.stderr)
+
+
+def test_lengths_over_the_memory_limit_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_memory_limit", lambda: cli.BASE_BYTES)
+    code, out, err = run(capsys, "experiment", "index-convergence", "--eps", SILVER_EPS,
+                         "--ell", "7/10", "--lengths", "10,1000")
+    assert (code, out) == (2, "")
+    assert err == "error: --lengths: 1000 letters need about 32 MiB, above the 32 MiB memory limit\n"
 
 
 def test_module_entry_point():

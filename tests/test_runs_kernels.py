@@ -1,9 +1,10 @@
 """The numpy kernels inside the runs engine against direct references.
 
 `_lyndon_ends` is compared with the sequential next-smaller/next-greater
-walk; the doubling sort is checked on two words longer than 2^21 letters,
-where one packed sort key uses all 64 bits and where the keys no longer fit
-and two sorting passes take over.
+walk, and `_extensions` with a letter-by-letter comparison; the doubling
+sort is checked on two words longer than 2^21 letters, where one packed
+sort key uses all 64 bits and where the keys no longer fit and two sorting
+passes take over.
 """
 
 import hashlib
@@ -17,15 +18,20 @@ from hypothesis import strategies as st
 from ietlab.errors import ParameterError
 from ietlab.exactreal import CFExpansion
 from ietlab.repetitions import (
+    SHORT_ENDS,
     _doubling_ranks,
+    _extensions,
+    _letter_labels,
     _lyndon_ends,
+    _packed_letters,
+    _packing_width,
     _run_candidates,
     word_index_estimate,
 )
 from ietlab.sturmian import characteristic_prefix
 from ietlab.words import Word
 
-from oracles import sequential_lyndon_ends
+from oracles import naive_extension, sequential_lyndon_ends
 
 ENDS = settings(max_examples=300, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -62,6 +68,27 @@ def test_ends_of_sparse_distinct_ranks(ranks):
     check_ends(ranks)
 
 
+@ENDS
+@given(st.integers(SHORT_ENDS - 1, SHORT_ENDS + 3).flatmap(lambda n: st.permutations(range(n))))
+def test_ends_at_the_short_scan_seam(ranks):
+    # lengths around SHORT_ENDS: the contiguous scan covers all or all but
+    # the last few positions of each row
+    check_ends(ranks)
+
+
+@pytest.mark.parametrize("dist", [SHORT_ENDS, SHORT_ENDS + 1])
+@pytest.mark.parametrize("tail", [0, 1, 5])
+def test_ends_at_the_short_scan_limit(dist, tail):
+    # the end at 0 lies exactly at dist: the last the contiguous scan
+    # settles, and the first the block-maximum search finds
+    middle = list(range(100, 100 + dist - 1))
+    for isa in ([1000] + middle + [2000] + list(range(3000, 3000 + tail)),
+                [1000] + [2000 + v for v in middle] + [0] + list(range(3000, 3000 + tail))):
+        check_ends(isa)
+        assert _lyndon_ends(np.asarray(isa, dtype=np.int32))[0] == dist
+        check_ends([-1 - v for v in isa])
+
+
 def test_ends_of_monotone_ranks():
     for n in (1, 2, 3, 127, 128, 129, 1000):
         check_ends(range(n))
@@ -72,7 +99,68 @@ def test_ends_of_rise_then_fall():
     # a^m b^m: ranks rise along the a's and fall along the b's
     m = 2**15
     codes = np.frombuffer(b"a" * m + b"b" * m, dtype=np.uint8)
-    check_ends(_doubling_ranks(codes)[-1][: 2 * m])
+    check_ends(_doubling_ranks(_letter_labels(codes), 0)[-1][: 2 * m])
+
+
+# alphabet sizes whose labels take 1..7 bits, packed 64, 32, 16 and 8 to a word
+ALPHABETS = {1: 64, 2: 32, 3: 32, 4: 16, 8: 16, 16: 8, 32: 8, 64: 8, 100: 8}
+LETTERS = bytes(range(20, 120)).decode("ascii")
+
+
+def test_packing_widths():
+    assert {k: _packing_width(k) for k in ALPHABETS} == ALPHABETS
+
+
+def check_extensions(text, jj):
+    """`_extensions` as the engine calls it, both directions, against the
+    letter-by-letter oracle."""
+    n = len(text)
+    labels = _letter_labels(np.frombuffer(text.encode("ascii"), dtype=np.uint8))
+    m = _packing_width(int(labels.max()))
+    rounds = _doubling_ranks(labels, m.bit_length() - 1)
+    jj = np.asarray(jj, dtype=np.int32)
+    forward = _extensions(rounds, _packed_letters(labels, m), m, jj, forward=True)
+    labels[:n] = labels[n - 1 :: -1]
+    backward = _extensions(rounds, _packed_letters(labels, m)[::-1], m, jj, forward=False)
+    for i, j in enumerate(jj.tolist()):
+        assert forward[i] == naive_extension(text, i, j, True), (i, j)
+        assert backward[i] == naive_extension(text, i, j, False), (i, j)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_extensions_match_the_oracle(data):
+    k = data.draw(st.sampled_from(sorted(ALPHABETS)))
+    m = ALPHABETS[k]
+    alphabet = LETTERS[:k]
+    letters = st.sampled_from(alphabet)
+    # A stretch of period p extends a run by exactly lce letters around m,
+    # unless it reaches the end of the text.  Every letter occurs, in the
+    # head or at the end of the tail, so the engine packs m letters; the
+    # other side may be empty, so runs reach the end or position 0.
+    p = data.draw(st.integers(1, 12))
+    lce = data.draw(st.sampled_from([0, 1, m - 1, m, m + 1, 2 * m, 2 * m + 1, 4 * m - 1]))
+    head = data.draw(st.text(letters, max_size=data.draw(st.sampled_from([0, 3, 40]))))
+    root = data.draw(st.text(letters, min_size=p, max_size=p))
+    stretch = (root * (lce // p + 2))[: p + lce]
+    breaker = [c for c in alphabet if c != root[lce % p]]
+    tail = ""
+    if data.draw(st.booleans()) and breaker:
+        tail = data.draw(st.sampled_from(breaker)) + data.draw(st.text(letters, max_size=30))
+    if data.draw(st.booleans()):
+        head = alphabet + head
+    elif tail:
+        tail += alphabet
+    else:
+        head = alphabet
+    text = head + stretch + tail
+    assert len(set(text)) == k
+    n = len(text)
+    if n < 2:
+        return
+    check_extensions(text, [min(n, i + p) for i in range(n - 1)])
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    check_extensions(text, np.random.default_rng(seed).integers(np.arange(1, n), n + 1))
 
 
 def suffix_less(text, a, b):
@@ -88,7 +176,7 @@ def suffix_less(text, a, b):
 def check_long_word(text, key_bits, golden):
     n = len(text)
     codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    rounds = _doubling_ranks(codes)
+    rounds = _doubling_ranks(_letter_labels(codes), 0)
     # the last round's key bound, from the dense ranks before it, and positions
     top = int(rounds[-2][:n].max())
     assert ((top + 1) * (top + 2) - 1).bit_length() + (n - 1).bit_length() == key_bits
