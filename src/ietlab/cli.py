@@ -38,12 +38,11 @@ from .threeiet import (
     ThreeIetParams,
     bound_check,
     index_bounds,
-    rotation_coding_image,
     threeiet_word,
     validate_params,
     verify_projections,
 )
-from .words import Word
+from .words import Word, rotation_coding_morphism
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -241,15 +240,19 @@ def _cmd_index(args) -> int:
     if args.word is not None:
         word = Word.from_text(args.word)
     elif args.file is not None:
-        try:
-            with open(args.file, "r", encoding="ascii") as handle:
-                lines = [line.strip() for line in handle if line.strip()]
-        except UnicodeDecodeError:
-            raise ParameterError(f"{args.file}: words must be plain ASCII") from None
-        if not lines:
-            raise ParameterError(f"{args.file}: no word found")
-        _require_memory(args, len(lines[0]), "--file")
-        word = Word.from_text(lines[0])
+        # latin-1 decodes any byte, so only the lines read up to the word
+        # are checked for ASCII, and the rest of the file is never read.
+        with open(args.file, "r", encoding="latin-1") as handle:
+            for line in handle:
+                if not line.isascii():
+                    raise ParameterError(f"{args.file}: words must be plain ASCII")
+                text = line.strip()
+                if text:
+                    break
+            else:
+                raise ParameterError(f"{args.file}: no word found")
+        _require_memory(args, len(text), "--file")
+        word = Word.from_text(text)
     else:
         word = _build_word(args)
     report = word_index_estimate(word)
@@ -288,8 +291,6 @@ def _verify_theorem3(args) -> tuple[dict, bool]:
         except InsufficientCoefficientsError:
             n_max = len(cf.quotients) - 1
     try:
-        if n_max < 0:
-            raise InsufficientCoefficientsError("empty expansion")
         cf.coefficient(n_max + 1)
     except InsufficientCoefficientsError:
         raise ParameterError("not enough continued-fraction coefficients") from None
@@ -358,7 +359,7 @@ def _experiment_ell_sweep(args) -> tuple[list[str], list[dict]]:
         word = threeiet_word(params, args.length)
         frequency = Fraction(word.count("B"), len(word))
         own = word_index_estimate(word).index_estimate
-        collapsed = word_index_estimate(rotation_coding_image(word, 0)).index_estimate
+        collapsed = word_index_estimate(rotation_coding_morphism(0)(word)).index_estimate
         rows.append({
             "ell": str(params.ell),
             "ell_decimal": params.ell.decimal(),

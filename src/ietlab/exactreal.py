@@ -110,11 +110,6 @@ class QuadraticReal:
     def is_zero(self) -> bool:
         return self.p == 0 and self.q == 0
 
-    def as_fraction(self) -> Fraction:
-        if self.q != 0:
-            raise ParameterError("value is irrational, not representable as a fraction")
-        return Fraction(self.p, self.r)
-
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}."""
         if self.q == 0:
@@ -490,12 +485,8 @@ class CFExpansion:
                     raise ParameterError("stored quotients disagree with period")
 
     @classmethod
-    def from_quotients(cls, quotients, period=None) -> "CFExpansion":
-        qs = tuple(int(a) for a in quotients)
-        if period is None:
-            return cls(qs)
-        return cls(qs, preperiod=len(qs) - _tail_len(qs, tuple(period)),
-                   period=tuple(period))
+    def from_quotients(cls, quotients) -> "CFExpansion":
+        return cls(tuple(int(a) for a in quotients))
 
     def __len__(self) -> int:
         return len(self.quotients)
@@ -545,18 +536,6 @@ class CFExpansion:
             q_prev, q_cur = q_cur, a * q_cur + q_prev
             out.append((p_cur, q_cur))
         return out
-
-
-def _tail_len(quotients: tuple[int, ...], period: tuple[int, ...]) -> int:
-    """Longest suffix of ``quotients`` consistent with repeating ``period``."""
-    m = len(period)
-    best = 0
-    for start in range(len(quotients) + 1):
-        tail = quotients[start:]
-        if all(a == period[t % m] for t, a in enumerate(tail)):
-            best = len(tail)
-            break
-    return best
 
 
 def cf_expand(x: QuadraticReal, n_terms: int, max_states: int = 4096) -> CFExpansion:

@@ -60,7 +60,6 @@ class IndexReport:
     witness: Run
     max_power: int
     max_power_witness: str
-    per_factor: dict[str, Fraction] | None = None
 
     def to_json_dict(self) -> dict:
         return {

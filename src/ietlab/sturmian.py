@@ -9,6 +9,8 @@ fraction of eps.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -152,22 +154,29 @@ def sturmian_word(params: SturmianParams, n_letters: int) -> Word:
     return rotation_word(rot, n_letters)
 
 
-def standard_word(cf: CFExpansion, level: int) -> Word:
-    """The standard word s_level of the recursion
+def _standard_words(cf: CFExpansion) -> Iterator[str]:
+    """s_1, s_2, ... of the recursion
 
     s_-1 = 1, s_0 = 0, s_1 = s_0^(a_1 - 1) s_-1,
     s_(n+1) = s_n^(a_(n+1)) s_(n-1).
+
+    s_n is built only when asked for, so it reads a_1, ..., a_n and no more.
     """
+    prev, cur = "0", "0" * (cf.coefficient(1) - 1) + "1"
+    for n in itertools.count(2):
+        yield cur
+        prev, cur = cur, cur * cf.coefficient(n) + prev
+
+
+def standard_word(cf: CFExpansion, level: int) -> Word:
+    """The standard word s_level, level >= -1 (see ``_standard_words``)."""
     if level < -1:
         raise ParameterError("level must be >= -1")
     if level == -1:
         return Word._trusted("1", BINARY)
     if level == 0:
         return Word._trusted("0", BINARY)
-    prev, cur = "0", "0" * (cf.coefficient(1) - 1) + "1"
-    for n in range(1, level):
-        prev, cur = cur, cur * cf.coefficient(n + 1) + prev
-    return Word._trusted(cur, BINARY)
+    return Word._trusted(next(itertools.islice(_standard_words(cf), level - 1, None)), BINARY)
 
 
 def characteristic_prefix(cf: CFExpansion, n_letters: int) -> Word:
@@ -177,18 +186,15 @@ def characteristic_prefix(cf: CFExpansion, n_letters: int) -> Word:
     recursion).
     """
     require_length(n_letters)
-    prev, cur = "0", "0" * (cf.coefficient(1) - 1) + "1"
-    n = 1
-    while len(cur) < n_letters:
-        n += 1
-        try:
-            a = cf.coefficient(n)
-        except InsufficientCoefficientsError:
-            raise InsufficientCoefficientsError(
-                f"need |s_n| >= {n_letters} but coefficients end at a_{n - 1}"
-            ) from None
-        prev, cur = cur, cur * a + prev
-    return Word._trusted(cur[:n_letters], BINARY)
+    n = 0
+    try:
+        for n, word in enumerate(_standard_words(cf), 1):
+            if len(word) >= n_letters:
+                return Word._trusted(word[:n_letters], BINARY)
+    except InsufficientCoefficientsError:
+        raise InsufficientCoefficientsError(
+            f"need |s_n| >= {n_letters} but coefficients end at a_{n}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -221,11 +227,7 @@ class IndexFormulaResult:
 
 def _purely_periodic_value(period: tuple[int, ...]) -> QuadraticReal:
     """Exact value of the purely periodic continued fraction [0; period...]."""
-    p_prev, p_cur = 1, 0
-    q_prev, q_cur = 0, 1
-    for a in period:
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
+    (p_prev, q_prev), (p_cur, q_cur) = CFExpansion(period).convergents(len(period))[-2:]
     b = q_cur - p_prev
     disc = b * b + 4 * q_prev * p_cur
     return QuadraticReal(-b, 1, disc, 2 * q_prev)

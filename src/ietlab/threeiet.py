@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ParameterError
 from .exactreal import QuadraticReal, cf_expand, require_same_field
 from .repetitions import word_index_estimate
-from .sturmian import RotationParams, _orbit_word, rotation_word
+from .sturmian import SturmianParams, _orbit_word, sturmian_word
 from .words import (
     BINARY,
     SPLIT_B01,
@@ -29,7 +29,6 @@ from .words import (
     TERNARY,
     Word,
     is_balanced,
-    rotation_coding_morphism,
 )
 
 
@@ -72,24 +71,9 @@ def validate_params(
     return ThreeIetParams(epsilon, ell, x0)
 
 
-def step(params: ThreeIetParams, x: QuadraticReal) -> tuple[str, QuadraticReal]:
-    """One transformation step: interval letter and the next point."""
-    if x.sign() < 0 or (x - params.ell).sign() >= 0:
-        raise ParameterError("point outside the domain [0, ell)")
-    eps = params.epsilon
-    if (x - params.boundary_ab).sign() < 0:
-        letter, nxt = "A", x + (1 - eps)
-    elif (x - eps).sign() < 0:
-        letter, nxt = "B", x + (1 - eps - eps)
-    else:
-        letter, nxt = "C", x - eps
-    if nxt.sign() < 0 or (nxt - params.ell).sign() >= 0:
-        raise ArithmeticError("orbit left the domain; parameters are inconsistent")
-    return letter, nxt
-
-
 def threeiet_word(params: ThreeIetParams, n_letters: int) -> Word:
-    """The ternary word coding the orbit of x0; equivalent to iterating ``step``.
+    """The ternary word coding the orbit of x0; equivalent to applying the
+    exchange one exact step at a time.
 
     The exchange is the map induced on [0, ell) by the rotation
     y -> y + 1 - eps (mod 1): A and C return after one rotation step, and B
@@ -200,32 +184,6 @@ def ternarize(first: Word, second: Word):
     return Word._trusted(letters, TERNARY)
 
 
-def ternarize_prefix(first: Word, second: Word):
-    """Prefix-tolerant ternarization.
-
-    Trims a trailing half-completed B alignment instead of failing, so equal
-    length prefixes of two amicable infinite words recombine; returns
-    (word, consumed letters per input) or NotAmicable on a real mismatch.
-    """
-    _require_binary(first)
-    _require_binary(second)
-    result = _scan(first.text, second.text)
-    if isinstance(result, NotAmicable):
-        return result
-    letters, consumed = result
-    return Word._trusted(letters, TERNARY), consumed
-
-
-def is_amicable(first: Word, second: Word) -> bool:
-    """Whether the pair has a ternarization (in this order)."""
-    return not isinstance(ternarize(first, second), NotAmicable)
-
-
-def rotation_coding_image(word: Word, k: int) -> Word:
-    """Image under A -> 0, B -> 0 1^(k+1), C -> 0 1^k."""
-    return rotation_coding_morphism(k)(word)
-
-
 # ---------------------------------------------------------------------------
 # verification reports
 # ---------------------------------------------------------------------------
@@ -300,9 +258,7 @@ def verify_projections(
 
     c01, bal01 = sturmian_certificates(b01)
     c10, bal10 = sturmian_certificates(b10)
-    rot = rotation_word(
-        RotationParams(1 - params.epsilon, params.epsilon, params.x0), len(b01)
-    )
+    rot = sturmian_word(SturmianParams(params.epsilon, params.x0), len(b01))
     return ProjectionReport(
         prefix_length=n_letters,
         certificate_depth=depth,

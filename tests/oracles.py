@@ -71,6 +71,23 @@ def sequential_orbit_word(x, pieces, n_letters):
     return "".join(letters)
 
 
+def step(params, x):
+    """One exact step of the three-interval exchange: the interval letter of
+    x and the next point."""
+    if x.sign() < 0 or (x - params.ell).sign() >= 0:
+        raise ParameterError("point outside the domain [0, ell)")
+    eps = params.epsilon
+    if (x - params.boundary_ab).sign() < 0:
+        letter, nxt = "A", x + (1 - eps)
+    elif (x - eps).sign() < 0:
+        letter, nxt = "B", x + (1 - eps - eps)
+    else:
+        letter, nxt = "C", x - eps
+    if nxt.sign() < 0 or (nxt - params.ell).sign() >= 0:
+        raise ArithmeticError("orbit left the domain; parameters are inconsistent")
+    return letter, nxt
+
+
 def rotation_pieces(alpha, beta):
     """Pieces of the rotation by alpha on [0, 1); letter 0 codes [0, beta)."""
     wrap = 1 - alpha

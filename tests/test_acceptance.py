@@ -21,7 +21,6 @@ from ietlab.sturmian import (
     sturmian_index_formula,
 )
 from ietlab.threeiet import (
-    step,
     ternarize,
     threeiet_word,
     validate_params,
@@ -29,7 +28,7 @@ from ietlab.threeiet import (
 )
 from ietlab.words import BINARY, SPLIT_B01, SPLIT_B10, TERNARY, Word
 
-from oracles import random_word
+from oracles import random_word, step
 
 GOLDEN_EPS = QuadraticReal(-1, 1, 5, 2)      # sqrt(5)-1 over 2
 SILVER_EPS = QuadraticReal(-1, 1, 2, 1)      # sqrt(2)-1

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ietlab import threeiet
 from ietlab.errors import ParameterError
-from ietlab.threeiet import NotAmicable, _scan, ternarize, ternarize_prefix
+from ietlab.threeiet import NotAmicable, _scan, ternarize
 from ietlab.words import BINARY, SPLIT_B01, SPLIT_B10, TERNARY, Word, is_balanced
 
 from oracles import factors, sequential_is_balanced, sequential_scan
@@ -130,20 +130,10 @@ def expected_ternarize(first, second):
     return Word(letters, TERNARY)
 
 
-def expected_prefix(first, second):
-    """``ternarize_prefix`` built on the sequential scan."""
-    result = sequential_scan(first, second)
-    if isinstance(result, NotAmicable):
-        return result
-    letters, consumed = result
-    return Word(letters, TERNARY), consumed
-
-
 def check_scan(first, second):
     x, y = Word(first, BINARY), Word(second, BINARY)
     assert _scan(first, second) == sequential_scan(first, second)
     assert ternarize(x, y) == expected_ternarize(first, second)
-    assert ternarize_prefix(x, y) == expected_prefix(first, second)
 
 
 @st.composite

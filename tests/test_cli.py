@@ -151,6 +151,47 @@ class TestIndex:
         assert re.fullmatch(r"error: --file: 1000 letters need about 32 MiB, "
                             r"above the 32 MiB memory limit\n", err)
 
+    def test_file_tail_is_never_read(self, tmp_path):
+        # the word is on the first line; the 50 MB after it must not raise the peak
+        path = tmp_path / "words.txt"
+        with open(path, "w", encoding="ascii") as handle:
+            handle.write("abaab\n")
+            for _ in range(50):
+                handle.write(("ab" * 49 + "\n") * 10000)
+        script = (
+            "import resource, sys\n"
+            "from ietlab.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+
+        def peak(*argv):
+            result = subprocess.run([sys.executable, "-c", script, "index", *argv],
+                                    capture_output=True, text=True, check=True, timeout=120)
+            return result.stdout, int(result.stderr)
+
+        file_out, file_peak = peak("--file", str(path))
+        word_out, word_peak = peak("--word", "abaab")
+        assert file_out == word_out
+        assert file_peak - word_peak <= 8 * 1024, (file_peak, word_peak)  # KiB on Linux
+
+    @pytest.mark.parametrize("content", ["abaab\n\xe9\n", "\r\n abaab\rjunk\n"])
+    def test_file_reads_only_up_to_the_word(self, capsys, tmp_path, content):
+        # a non-ASCII line after the word is never decoded; \r ends a line
+        path = tmp_path / "words.txt"
+        path.write_bytes(content.encode("latin-1"))
+        code, out, _ = run(capsys, "index", "--file", str(path))
+        assert code == 0 and json.loads(out)["prefix_length"] == 5
+
+    @pytest.mark.parametrize("content", ["\n\xe9\nabaab\n", "ab\xe9ab\n"])
+    def test_file_non_ascii_up_to_the_word_exits_2(self, capsys, tmp_path, content):
+        path = tmp_path / "words.txt"
+        path.write_bytes(content.encode("latin-1"))
+        code, out, err = run(capsys, "index", "--file", str(path))
+        assert code == 2 and out == ""
+        assert "words must be plain ASCII" in err
+
     def test_needs_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "index", "--word", "aa", "--kind", "3iet")
         assert code == 2 and "exactly one" in err

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from mpmath import mpf
 
 from ietlab.errors import BlockParseError, InsufficientCoefficientsError, ParameterError
 from ietlab.exactreal import CFExpansion, QuadraticReal, cf_expand
@@ -19,7 +20,7 @@ from ietlab.sturmian import (
 )
 from ietlab.words import BINARY, Word, is_balanced
 
-from oracles import EXCHANGE_01, factors, fib_char_prefix, mp_value
+from oracles import EXCHANGE_01, factors, fib_char_prefix, mp_cf, mp_value
 
 PHI_MINUS_1 = QuadraticReal(-1, 1, 5, 2)
 SQRT2_MINUS_1 = QuadraticReal(-1, 1, 2, 1)
@@ -123,8 +124,18 @@ class TestCharacteristicPrefix:
 
     def test_runs_out_without_period(self):
         cf = CFExpansion.from_quotients([1, 1, 1])
-        with pytest.raises(InsufficientCoefficientsError):
+        with pytest.raises(InsufficientCoefficientsError,
+                           match=r"^need \|s_n\| >= 100 but coefficients end at a_3$"):
             characteristic_prefix(cf, 100)
+
+    @pytest.mark.parametrize("cf", [FIB_CF, SQRT2_CF,
+                                    CFExpansion.from_quotients([1, 2, 3, 4] * 10)])
+    def test_agrees_with_standard_words(self, cf):
+        # n = |s_L| is the longest prefix s_L covers; n = |s_L| + 1 needs s_(L+1)
+        words = [standard_word(cf, level).text for level in range(1, 14)]
+        for n in [len(word) + extra for word in words[:12] for extra in (0, 1)]:
+            covering = next(word for word in words if len(word) >= n)
+            assert characteristic_prefix(cf, n).text == covering[:n]
 
 
 class TestIndexFormula:
@@ -150,6 +161,22 @@ class TestIndexFormula:
         assert result.periodic_limit == QuadraticReal(3, 1, 2, 1)
         assert result.largest_coefficient == 2
         assert result.to_json_dict()["finite"] and not result.window_only
+
+    @pytest.mark.parametrize("eps, period", [
+        (QuadraticReal(-1, 1, 3, 1), (1, 2)),  # sqrt(3) - 1
+        (QuadraticReal(-5, 3, 5, 10), (5, 1)),  # (3*sqrt(5) - 5)/10
+    ])
+    def test_limit_over_a_longer_period(self, eps, period):
+        assert mp_cf(mp_value(eps), 12) == [period[n % 2] for n in range(12)]
+        # Independently: q_N by the integer recursion from the typed quotients;
+        # the terms of two consecutive large N cover both residues of the period.
+        a = [period[n % 2] for n in range(202)]  # a[n] = a_(n+1)
+        q = [1, a[0]]  # q[N] = q_N
+        for n in range(1, 201):
+            q.append(a[n] * q[n] + q[n - 1])
+        expected = max(2 + a[n] + mpf(q[n - 1]) / q[n] for n in (200, 201))
+        limit = sturmian_index_formula(cf_expand(eps, 8), 10).periodic_limit
+        assert abs(mp_value(limit) - expected) < mpf(10) ** -30
 
     def test_window_only_flag(self):
         result = sturmian_index_formula(CFExpansion.from_quotients([1, 2, 1, 2]), 2)

@@ -10,19 +10,16 @@ from ietlab.exactreal import QuadraticReal
 from ietlab.sturmian import RotationParams, rotation_word
 from ietlab.threeiet import (
     NotAmicable,
+    _scan,
     bound_check,
-    is_amicable,
-    rotation_coding_image,
-    step,
     ternarize,
-    ternarize_prefix,
     threeiet_word,
     validate_params,
     verify_projections,
 )
-from ietlab.words import SPLIT_B01, SPLIT_B10, TERNARY, Word
+from ietlab.words import SPLIT_B01, SPLIT_B10, TERNARY, Word, rotation_coding_morphism
 
-from oracles import mp_value
+from oracles import mp_value, step
 
 W = Word.from_text
 PHI_MINUS_1 = QuadraticReal(-1, 1, 5, 2)
@@ -143,8 +140,8 @@ class TestTernarization:
         assert result.position == 0
 
     def test_relation_not_symmetric(self):
-        assert is_amicable(W("0100101"), W("0101001"))
-        assert not is_amicable(W("0101001"), W("0100101"))
+        assert not isinstance(ternarize(W("0100101"), W("0101001")), NotAmicable)
+        assert isinstance(ternarize(W("0101001"), W("0100101")), NotAmicable)
 
     def test_letterwise_pair(self):
         assert ternarize(W("0011"), W("0011")).text == "AACC"
@@ -155,11 +152,11 @@ class TestTernarization:
     def test_dangling_half_pair(self):
         strict = ternarize(W("00"), W("01"))
         assert isinstance(strict, NotAmicable)
-        word, consumed = ternarize_prefix(W("00"), W("01"))
-        assert word.text == "A" and consumed == 1
+        letters, consumed = _scan("00", "01")
+        assert letters == "A" and consumed == 1
 
     def test_prefix_variant_still_rejects_mismatch(self):
-        assert isinstance(ternarize_prefix(W("11"), W("00")), NotAmicable)
+        assert isinstance(_scan("11", "00"), NotAmicable)
 
     def test_round_trip_random_parameters(self):
         rng = random.Random(97)
@@ -202,8 +199,8 @@ class TestProjectionReport:
 
     def test_single_letter_roundtrip(self):
         word = threeiet_word(GOLDEN, 1)
-        recombined, consumed = ternarize_prefix(SPLIT_B01(word), SPLIT_B10(word))
-        assert recombined == word and consumed == 1
+        recombined, consumed = _scan(SPLIT_B01(word).text, SPLIT_B10(word).text)
+        assert recombined == word.text and consumed == 1
 
     def test_too_short_for_depth(self):
         with pytest.raises(ParameterError):
@@ -254,16 +251,16 @@ class TestBoundReports:
 class TestRotationCodingImages:
     def test_collapse_tables(self):
         word = Word("ACABAC", TERNARY)
-        assert rotation_coding_image(word, 0).text == "0000100"
-        assert rotation_coding_image(word, 1).text == "0010011001"
+        assert rotation_coding_morphism(0)(word).text == "0000100"
+        assert rotation_coding_morphism(1)(word).text == "0010011001"
 
     def test_non_ternary_rejected(self):
         with pytest.raises(ParameterError):
-            rotation_coding_image(W("0101"), 0)
+            rotation_coding_morphism(0)(W("0101"))
 
     def test_image_of_orbit_word_is_rotation_like(self):
         # B and C collapse toward 0 blocks; the image stays binary and long
         word = threeiet_word(GOLDEN, 300)
-        image = rotation_coding_image(word, 0)
+        image = rotation_coding_morphism(0)(word)
         assert len(image) == 300 + word.count("B")
         assert set(image.text) <= {"0", "1"}
