@@ -280,13 +280,9 @@ def _verify_theorem3(args) -> tuple[dict, bool]:
     length = args.length or 2000
     n_max = args.nmax
     if n_max is None:
-        # extend until the convergent denominator covers the prefix length
-        n_max = 1
-        q_prev, q_cur = 1, cf.coefficient(1)
+        # the first N >= 1 whose convergent denominator covers the prefix length
         try:
-            while q_cur < length:
-                n_max += 1
-                q_prev, q_cur = q_cur, cf.coefficient(n_max) * q_cur + q_prev
+            n_max = next(n for n, (_, q) in enumerate(cf.iter_convergents()) if n and q >= length)
             cf.coefficient(n_max + 1)
         except InsufficientCoefficientsError:
             n_max = len(cf.quotients) - 1

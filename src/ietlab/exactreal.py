@@ -13,8 +13,10 @@ estimates are used only to bracket floors, never to decide anything.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +30,9 @@ from .errors import (
 # Trial division stops here; a cofactor below the cube of this bound is
 # certified square-free without knowing its factors.
 _TRIAL_BOUND = 10 ** 6
+
+# `cf_expand` walks at most this many states, unless more terms are asked for.
+MAX_CF_STATES = 4096
 
 
 # Memoized: every arithmetic result is rebuilt through here with the same
@@ -488,9 +493,6 @@ class CFExpansion:
     def from_quotients(cls, quotients) -> "CFExpansion":
         return cls(tuple(int(a) for a in quotients))
 
-    def __len__(self) -> int:
-        return len(self.quotients)
-
     @property
     def is_periodic(self) -> bool:
         return self.period is not None
@@ -523,22 +525,25 @@ class CFExpansion:
             raise InsufficientCoefficientsError("no coefficients available")
         return max(self.quotients), self.terminated
 
-    def convergents(self, n_max: int) -> list[tuple[int, int]]:
-        """Convergents (p_N, q_N) for N = 0..n_max, with q_-1 = 0, q_0 = 1."""
-        if n_max < 0:
-            raise ParameterError("n_max must be >= 0")
+    def iter_convergents(self) -> Iterator[tuple[int, int]]:
+        """Convergents (p_N, q_N) for N = 0, 1, ..., with q_-1 = 0, q_0 = 1,
+        reading a_N only when (p_N, q_N) is asked for."""
         p_prev, p_cur = 1, 0
         q_prev, q_cur = 0, 1
-        out = [(p_cur, q_cur)]
-        for n in range(1, n_max + 1):
+        for n in itertools.count(1):
+            yield p_cur, q_cur
             a = self.coefficient(n)
             p_prev, p_cur = p_cur, a * p_cur + p_prev
             q_prev, q_cur = q_cur, a * q_cur + q_prev
-            out.append((p_cur, q_cur))
-        return out
+
+    def convergents(self, n_max: int) -> list[tuple[int, int]]:
+        """Convergents (p_N, q_N) for N = 0..n_max."""
+        if n_max < 0:
+            raise ParameterError("n_max must be >= 0")
+        return list(itertools.islice(self.iter_convergents(), n_max + 1))
 
 
-def cf_expand(x: QuadraticReal, n_terms: int, max_states: int = 4096) -> CFExpansion:
+def cf_expand(x: QuadraticReal, n_terms: int) -> CFExpansion:
     """Continued fraction of x in (0, 1) by exact floor/reciprocal iteration.
 
     For quadratic irrationals the eventually periodic tail is detected by
@@ -555,7 +560,7 @@ def cf_expand(x: QuadraticReal, n_terms: int, max_states: int = 4096) -> CFExpan
     preperiod = None
     period = None
     terminated = False
-    limit = max(n_terms, max_states)
+    limit = max(n_terms, MAX_CF_STATES)
     while len(quotients) < limit:
         y = 1 / state
         a = y.floor()

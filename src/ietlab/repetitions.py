@@ -16,9 +16,10 @@ Each query first compares m letters at once, packed into one uint64 per
 position, and only the pairs that agree on all m go on to binary lifting
 over the saved doubling rounds of length m and above.  Pairs of period 1
 are read off the letter blocks instead.  That is at most 2n candidates and
-O(n log n) int32 memory.  When no run exists a direct per-period sweep
-decides; ``brute_force_index`` is an independent reference implementation
-kept deliberately naive.
+O(n log n) int32 memory.  Without runs, the best extension starts at one of
+two text-consecutive occurrences of a doubling window, which the same
+rounds and queries score; ``brute_force_index`` is an independent reference
+implementation kept deliberately naive.
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ class Run:
     start: int
     period: int
     length: int
-
-    @property
-    def exponent(self) -> Fraction:
-        return Fraction(self.length, self.period)
 
 
 @dataclass(frozen=True)
@@ -402,32 +399,58 @@ def _run_candidates(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _fractional_best(text: str) -> tuple[int, int, int]:
-    """Best (length, period, start) by a direct per-period sweep.
+def _occurrence_candidates(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidates (start, end, period) that hold the best extension of any
+    word: the trivial (0, 1, 1) and one champion per doubling level k, the
+    best of the pairs i < j of text-consecutive occurrences of a 2^k-letter
+    window whose 2^(k+1)-letter windows differ and whose previous letters
+    differ (or i = 0), each extended forward by ``_extensions`` to [i, j + f).
 
-    Used when no segment of exponent >= 2 exists; exact for any word.
+    Why it is exact.  Let (i, j = i + p) maximize (p + L)/p, where
+    L = LCE(i, j) and 2^k <= L < 2^(k+1).  i = 0 or the letters before i
+    and j differ, or (i - 1, j - 1) would score higher.  Suppose text[i:i+2^k]
+    also occurred at some c with i < c < j.  Then (i, c) or (c, j) would be
+    a pair with period d <= p/2 and ratio at least
+    1 + 2^k/d >= 1 + 2^(k+1)/p > (p + L)/p, which contradicts the choice of
+    (i, j).  So every best pair, tied pairs included, is a pair of level k.
+    When no letter repeats, the trivial candidate stays the answer.
+
+    Levels run from the top down, dropping each round once no lower level
+    needs it: a pair of level k lifts only through rounds up to k.  Windows
+    under m letters are keyed by packed letters (32 bits at most, ranks 31)
+    beside a position in one sort; j = n (end-of-text) marks no pair.
     """
     n = len(text)
-    arr = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    best_len, best_period, best_start = 1, 1, 0
-    for p in range(1, n):
-        if n * best_period <= best_len * p:
-            break  # even a full match cannot beat the current ratio
-        agree = arr[: n - p] == arr[p:]
-        if not agree.any():
-            continue
-        breaks = np.flatnonzero(~agree)
-        edges = np.concatenate(([-1], breaks, [n - p]))
-        lengths = np.diff(edges) - 1
-        block = int(lengths.max())
-        if block == 0:
-            continue
-        at = int(lengths.argmax())
-        start = int(edges[at] + 1)
-        length = p + block
-        if length * best_period > best_len * p:
-            best_len, best_period, best_start = length, p, start
-    return best_len, best_period, best_start
+    labels = _letter_labels(np.frombuffer(text.encode("ascii"), dtype=np.uint8))
+    m = _packing_width(int(labels.max()))
+    lift = m.bit_length() - 1
+    rounds = _doubling_ranks(labels, lift)
+    packed = _packed_letters(labels, m)
+    pbits = (n - 1).bit_length()
+
+    def windows(k):
+        """Keys equal exactly where the 2^k-letter windows are equal."""
+        return rounds[k][:n] if k >= lift else packed[:n] & np.uint64((1 << ((64 // m) << k)) - 1)
+
+    best = [(1, 1, 0)]
+    for k in range(len(rounds) - 2, -1, -1):
+        key = windows(k).astype(np.uint64)
+        _packed_sort(key, pbits)
+        at = np.flatnonzero((key[1:] ^ key[:-1]) >> np.uint64(pbits) == 0)
+        key &= np.uint64((1 << pbits) - 1)
+        i, j = key[at].astype(np.int32), key[at + 1].astype(np.int32)
+        del key, at
+        after = windows(k + 1)
+        keep = (after[i] != after[j]) & (labels[i - 1] != labels[j - 1])  # labels[-1] is end-of-text
+        i, j = i[keep], j[keep]
+        if i.size:
+            jj = np.full(n, n, dtype=np.int32)
+            jj[i] = j
+            f = _extensions(rounds, packed, m, jj, forward=True)[i]
+            best.append(_best_extension(i, j + f, j - i))
+        rounds.pop()
+    length, period, start = (np.array(column, dtype=np.int32) for column in zip(*best))
+    return start, start + length, period
 
 
 def _best_extension(start: np.ndarray, end: np.ndarray, period: np.ndarray) -> tuple[int, int, int]:
@@ -462,15 +485,9 @@ def max_runs(prefix: Word) -> list[Run]:
     if len(prefix) < 1:
         raise ParameterError("word must be nonempty")
     start, end, period = _run_candidates(prefix.text)
-    if start.size == 0:
-        return []
-    n = len(prefix)
-    key = start.astype(np.int64) * (n + 1) + end
+    key = start.astype(np.int64) * (len(prefix) + 1) + end
     order = np.lexsort((period, key))
-    key_sorted = key[order]
-    first = np.ones(key_sorted.size, dtype=bool)
-    first[1:] = key_sorted[1:] != key_sorted[:-1]
-    chosen = order[first]
+    chosen = order[np.unique(key[order], return_index=True)[1]]  # the smallest period of each span
     runs = [
         Run(int(s), int(p), int(e - s))
         for s, e, p in zip(start[chosen], end[chosen], period[chosen])
@@ -488,17 +505,14 @@ def word_index_estimate(prefix: Word) -> IndexReport:
     if len(prefix) < 1:
         raise ParameterError("word must be nonempty")
     candidates = _run_candidates(prefix.text)
-    if candidates[0].size:
-        length, period, start = _best_extension(*candidates)
-    else:
-        length, period, start = _fractional_best(prefix.text)
-    estimate = Fraction(length, period)
-    power = max(1, length // period)
+    if candidates[0].size == 0:
+        candidates = _occurrence_candidates(prefix.text)
+    length, period, start = _best_extension(*candidates)
     return IndexReport(
         prefix_length=len(prefix),
-        index_estimate=estimate,
+        index_estimate=Fraction(length, period),
         witness=Run(start, period, length),
-        max_power=power,
+        max_power=max(1, length // period),
         max_power_witness=prefix.text[start : start + period],
     )
 

@@ -244,13 +244,8 @@ def sturmian_index_formula(cf: CFExpansion, n_max: int) -> IndexFormulaResult:
         raise ParameterError("n_max must be >= 0")
     if cf.terminated:
         raise ParameterError("the index formula needs an irrational slope")
-    convs = cf.convergents(n_max)
-    terms = []
-    q_prev = 0  # q_(-1)
-    for n in range(0, n_max + 1):
-        q_n = convs[n][1]
-        terms.append(2 + cf.coefficient(n + 1) + Fraction(q_prev - 2, q_n))
-        q_prev = q_n
+    q = [0] + [q_n for _, q_n in cf.convergents(n_max)]  # q_(-1), q_0, ..., q_(n_max)
+    terms = [2 + cf.coefficient(n + 1) + Fraction(q[n] - 2, q[n + 1]) for n in range(n_max + 1)]
     truncated_sup = max(terms)
     sup_at = terms.index(truncated_sup)
     largest, exact = cf.max_coefficient()

@@ -7,6 +7,7 @@ quantities are recomputed with direct scans.
 
 from fractions import Fraction
 
+import numpy as np
 from mpmath import mp, mpf, sqrt
 
 from ietlab.errors import ParameterError
@@ -120,6 +121,35 @@ def naive_index(text):
             if ratio > best:
                 best = ratio
     return best
+
+
+def fractional_best(text: str) -> tuple[int, int, int]:
+    """Best (length, period, start) by a direct per-period sweep.
+
+    Exact for any word, in O(n^2 / index) time; ties keep the smallest
+    period, then the smallest start.
+    """
+    n = len(text)
+    arr = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    best_len, best_period, best_start = 1, 1, 0
+    for p in range(1, n):
+        if n * best_period <= best_len * p:
+            break  # even a full match cannot beat the current ratio
+        agree = arr[: n - p] == arr[p:]
+        if not agree.any():
+            continue
+        breaks = np.flatnonzero(~agree)
+        edges = np.concatenate(([-1], breaks, [n - p]))
+        lengths = np.diff(edges) - 1
+        block = int(lengths.max())
+        if block == 0:
+            continue
+        at = int(lengths.argmax())
+        start = int(edges[at] + 1)
+        length = p + block
+        if length * best_period > best_len * p:
+            best_len, best_period, best_start = length, p, start
+    return best_len, best_period, best_start
 
 
 def naive_runs(text):
@@ -239,6 +269,13 @@ def fib_char_prefix(n_letters):
     while len(cur) < n_letters:
         prev, cur = cur, cur + prev
     return cur[:n_letters]
+
+
+def vtm_prefix(n_letters):
+    """The first n letters of vtm, the square-free ternary word of the gaps
+    1, 2, 3 between the 0s of the Thue-Morse word, written a, b, c."""
+    zeros = [i for i in range(2 * n_letters + 2) if bin(i).count("1") % 2 == 0]
+    return "".join("abc"[b - a - 1] for a, b in zip(zeros, zeros[1:]))
 
 
 # The binary letter exchange.

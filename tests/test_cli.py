@@ -16,6 +16,7 @@ from ietlab.exactreal import _squarefree_split
 
 GOLDEN_EPS = "(-1+1*sqrt(5))/2"
 SILVER_EPS = "(-1+1*sqrt(2))/1"
+FORTY_TWOS = "0" + ",2" * 40
 
 
 def run(capsys, *argv):
@@ -244,6 +245,26 @@ class TestVerify:
                            "-N", "100")
         assert code == 0
         assert json.loads(out)["formula"]["window_only"] is True
+
+    @pytest.mark.parametrize("cf, length, n_max", [
+        (FORTY_TWOS, "1", 1),
+        (FORTY_TWOS, "69", 5),  # q_5 = 70
+        (FORTY_TWOS, "70", 5),
+        (FORTY_TWOS, "71", 6),
+        ("0,1", "1", 0),  # a_2 is missing, so the last term with a known successor
+        ("0,1,1,1", "3", 2),
+    ])
+    def test_theorem3_default_nmax(self, capsys, cf, length, n_max):
+        # the first N >= 1 with q_N >= -N, when a_(N+1) is known
+        code, out, _ = run(capsys, "verify", "theorem3", "--cf", cf, "-N", length)
+        assert code == 0 and json.loads(out)["formula"]["n_max"] == n_max
+
+    @pytest.mark.parametrize("argv, err", [
+        (("--cf", "0,1"), "error: need |s_n| >= 2000 but coefficients end at a_1\n"),
+        (("--cf", "0,1,1,1", "-N", "4"), "error: need |s_n| >= 4 but coefficients end at a_3\n"),
+    ])
+    def test_theorem3_prefix_beyond_the_coefficients(self, capsys, argv, err):
+        assert run(capsys, "verify", "theorem3", *argv) == (2, "", err)
 
     @pytest.mark.parametrize("argv", [
         ("abmp", "--eps", GOLDEN_EPS, "--ell", "4/5", "-N", "2000", "--nmax", "-5"),

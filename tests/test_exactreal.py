@@ -338,3 +338,10 @@ class TestConvergents:
         cf = CFExpansion.from_quotients([1, 2, 3])
         with pytest.raises(InsufficientCoefficientsError):
             cf.convergents(5)
+
+    def test_lazy_convergents_stop_at_the_known_terms(self):
+        # the generator reads a_N only when (p_N, q_N) is asked for
+        stream = CFExpansion.from_quotients([1, 2, 3]).iter_convergents()
+        assert [next(stream) for _ in range(4)] == [(0, 1), (1, 1), (2, 3), (7, 10)]
+        with pytest.raises(InsufficientCoefficientsError):
+            next(stream)

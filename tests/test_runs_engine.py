@@ -1,24 +1,36 @@
 """The Lyndon-root runs engine against the naive oracles."""
 
+import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ietlab.exactreal import CFExpansion, QuadraticReal
-from ietlab.repetitions import _best_extension, _run_candidates, max_runs, word_index_estimate
+from ietlab.repetitions import (
+    IndexReport,
+    Run,
+    _best_extension,
+    _occurrence_candidates,
+    _run_candidates,
+    max_runs,
+    word_index_estimate,
+)
 from ietlab.sturmian import RotationParams, characteristic_prefix, rotation_word
 from ietlab.threeiet import threeiet_word, validate_params
 from ietlab.words import Word
 
-from oracles import naive_index, naive_runs
+from oracles import fractional_best, naive_index, naive_runs, vtm_prefix
 
 PROPERTY = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 PREFIXES = settings(max_examples=25, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
+SQUARE_FREE = settings(max_examples=150, deadline=None,
+                       suppress_health_check=[HealthCheck.too_slow])
 
 
 def check_engine(text):
@@ -47,6 +59,13 @@ def small_words(draw):
 @given(small_words())
 def test_small_words_match_oracles(text):
     check_engine(text)
+
+
+@PROPERTY
+@given(small_words())
+def test_occurrence_candidates_hold_the_sweep_best(text):
+    # the proof does not need a square-free word, so words with runs check it too
+    assert _best_extension(*_occurrence_candidates(text)) == fractional_best(text)
 
 
 def test_runs_at_both_ends():
@@ -89,6 +108,62 @@ def test_threeiet_prefixes(eps, t, s, n):
     ell = larger + (1 - larger) * QuadraticReal(t.numerator, 0, 0, t.denominator)
     x0 = ell * QuadraticReal(s.numerator, 0, 0, s.denominator)
     check_engine(threeiet_word(validate_params(eps, ell, x0), n).text)
+
+
+VTM = vtm_prefix(4000)
+
+
+def has_square_suffix(text):
+    n = len(text)
+    return any(text[n - 2 * p : n - p] == text[n - p :] for p in range(1, n // 2 + 1))
+
+
+@st.composite
+def square_free_words(draw):
+    """A slice of vtm at a drawn offset, or a word over 3-5 letters built by
+    backtracking in drawn letter orders; up to 300 letters."""
+    n = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        start = draw(st.integers(0, len(VTM) - n))
+        return VTM[start : start + n]
+    rng = draw(st.randoms(use_true_random=False))
+    letters = "abcde"[: draw(st.integers(3, 5))]
+    text, untried = "", [rng.sample(letters, len(letters))]
+    while len(text) < n:
+        if not untried[-1]:
+            untried.pop()
+            text = text[:-1]
+            continue
+        letter = untried[-1].pop()
+        if not has_square_suffix(text + letter):
+            text += letter
+            untried.append(rng.sample(letters, len(letters)))
+    return text
+
+
+@SQUARE_FREE
+@given(square_free_words())
+def test_square_free_words_match_the_sweep(text):
+    word = Word.from_text(text)
+    assert max_runs(word) == []
+    length, period, start = fractional_best(text)
+    assert word_index_estimate(word) == IndexReport(
+        prefix_length=len(text),
+        index_estimate=Fraction(length, period),
+        witness=Run(start, period, length),
+        max_power=1,
+        max_power_witness=text[start : start + period],
+    )
+    assert Fraction(length, period) == naive_index(text)
+
+
+def test_square_free_index_through_the_cli_in_time(tmp_path):
+    # the per-period sweep that indexed words without runs took over a minute here
+    path = tmp_path / "vtm.txt"
+    path.write_text(vtm_prefix(200000) + "\n")
+    out = subprocess.run([sys.executable, "-m", "ietlab", "index", "--file", str(path)],
+                         capture_output=True, text=True, check=True, timeout=30)
+    assert json.loads(out.stdout)["witness"] == {"start": 65536, "period": 65536, "length": 131071}
 
 
 def test_exact_winner_between_close_ratios():
