@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .errors import BlockParseError, InsufficientCoefficientsError, ParameterError
 from .exactreal import (
+    MAX_CF_STATES,
     CFExpansion,
     QuadraticReal,
     cf_expand,
@@ -177,20 +178,19 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _rows_to_csv(header: list[str], rows: list[dict]) -> str:
+def _rows_to_csv(rows: list[dict]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(rows[0])
     for row in rows:
         writer.writerow(
-            ["true" if v is True else "false" if v is False else str(v) for v in (row[h] for h in header)]
+            ["true" if v is True else "false" if v is False else str(v) for v in row.values()]
         )
     return buffer.getvalue()
 
 
-def _rows_to_json(kind: str, header: list[str], rows: list[dict]) -> str:
-    ordered = [{h: row[h] for h in header} for row in rows]
-    return json.dumps({"experiment": kind, "rows": ordered}) + "\n"
+def _rows_to_json(kind: str, rows: list[dict]) -> str:
+    return json.dumps({"experiment": kind, "rows": rows}) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +270,8 @@ def _cmd_index(args) -> int:
 
 
 def _verify_theorem3(args) -> tuple[dict, bool]:
+    if args.nmax is not None and args.nmax > MAX_CF_STATES:
+        raise ParameterError(f"--nmax: must be <= {MAX_CF_STATES} (got {args.nmax})")
     if args.eps is not None:
         eps = _number(args.eps, "--eps")
         cf = cf_expand(eps, max(args.nmax or 1, 8))
@@ -287,9 +289,13 @@ def _verify_theorem3(args) -> tuple[dict, bool]:
         except InsufficientCoefficientsError:
             n_max = len(cf.quotients) - 1
     try:
-        cf.coefficient(n_max + 1)
+        largest = max(cf.coefficient(n) for n in range(1, n_max + 2))
     except InsufficientCoefficientsError:
         raise ParameterError("not enough continued-fraction coefficients") from None
+    # every term's numerator and denominator are below (K + 3) q_(n_max)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and (largest + 3) * cf.convergents(n_max)[-1][1] >= 10**digits:
+        raise ParameterError(f"--nmax: {n_max} gives integers over Python's {digits}-digit limit")
     formula = sturmian_index_formula(cf, n_max)
     prefix = characteristic_prefix(cf, length)
     estimate = word_index_estimate(prefix).index_estimate
@@ -338,18 +344,12 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_VERDICT
 
 
-def _experiment_ell_sweep(args) -> tuple[list[str], list[dict]]:
+def _experiment_ell_sweep(args) -> list[dict]:
     _require(args, {"eps": "--eps", "ell": "--ell", "length": "-N"}, "ell-sweep")
     eps = _number(args.eps, "--eps")
     ells = _number_list(args.ell, "--ell")
     x0 = _number(args.x0, "--x0")
     grid = [_validate_flags(eps, ell, x0) for ell in ells]
-    header = [
-        "ell", "ell_decimal",
-        "b_frequency", "b_frequency_decimal",
-        "word_index", "word_index_decimal",
-        "collapsed_index", "collapsed_index_decimal",
-    ]
     rows = []
     for params in grid:
         word = threeiet_word(params, args.length)
@@ -366,20 +366,15 @@ def _experiment_ell_sweep(args) -> tuple[list[str], list[dict]]:
             "collapsed_index": _fraction_str(collapsed),
             "collapsed_index_decimal": _fraction_decimal(collapsed),
         })
-    return header, rows
+    return rows
 
 
-def _experiment_bounds_grid(args) -> tuple[list[str], list[dict]]:
+def _experiment_bounds_grid(args) -> list[dict]:
     _require(args, {"eps": "--eps", "ell": "--ell", "length": "-N"}, "bounds-grid")
     eps_values = _number_list(args.eps, "--eps")
     ells = _number_list(args.ell, "--ell")
     x0 = _number(args.x0, "--x0")
     grid = [_validate_flags(eps, ell, x0) for eps in eps_values for ell in ells]
-    header = [
-        "eps", "ell", "largest_coefficient", "lower", "upper",
-        "index", "index_decimal", "max_integer_power",
-        "upper_ok", "power_ok", "lower_reached",
-    ]
     rows = []
     for params in grid:
         bound = bound_check(params, args.length)
@@ -396,10 +391,10 @@ def _experiment_bounds_grid(args) -> tuple[list[str], list[dict]]:
             "power_ok": bound.power_ok,
             "lower_reached": bound.lower_reached,
         })
-    return header, rows
+    return rows
 
 
-def _experiment_index_convergence(args) -> tuple[list[str], list[dict]]:
+def _experiment_index_convergence(args) -> list[dict]:
     _require(args, {"eps": "--eps", "ell": "--ell", "lengths": "--lengths"}, "index-convergence")
     eps = _number(args.eps, "--eps")
     ell = _number(args.ell, "--ell")
@@ -411,7 +406,6 @@ def _experiment_index_convergence(args) -> tuple[list[str], list[dict]]:
     params = _validate_flags(eps, ell, x0)
     _, lower, _ = index_bounds(params.epsilon)
     word = threeiet_word(params, max(lengths))
-    header = ["length", "index", "index_decimal", "reached_lower"]
     rows = []
     for n in lengths:
         estimate = word_index_estimate(word[:n]).index_estimate
@@ -421,20 +415,20 @@ def _experiment_index_convergence(args) -> tuple[list[str], list[dict]]:
             "index_decimal": _fraction_decimal(estimate),
             "reached_lower": estimate >= lower,
         })
-    return header, rows
+    return rows
 
 
 def _cmd_experiment(args) -> int:
     if args.experiment == "ell-sweep":
-        header, rows = _experiment_ell_sweep(args)
+        rows = _experiment_ell_sweep(args)
     elif args.experiment == "bounds-grid":
-        header, rows = _experiment_bounds_grid(args)
+        rows = _experiment_bounds_grid(args)
     else:
-        header, rows = _experiment_index_convergence(args)
+        rows = _experiment_index_convergence(args)
     if args.format == "csv":
-        _emit(_rows_to_csv(header, rows), args.out)
+        _emit(_rows_to_csv(rows), args.out)
     else:
-        _emit(_rows_to_json(args.experiment, header, rows), args.out)
+        _emit(_rows_to_json(args.experiment, rows), args.out)
     return EXIT_OK
 
 

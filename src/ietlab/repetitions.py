@@ -340,9 +340,9 @@ def _lyndon_ends(isa: np.ndarray) -> np.ndarray:
     return ends
 
 
-def _run_candidates(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _candidates(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximal periodic segments of exponent >= 2 as int32 (start, end,
-    period).
+    period), or ``_occurrence_candidates`` from the same rounds without any.
 
     Order 0 is the letter order with end-of-text smallest; order 1 is its
     exact reverse (letters reversed, end-of-text largest), so its suffix
@@ -389,6 +389,12 @@ def _run_candidates(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     f = _extensions(rounds, _packed_letters(labels, m), m, jj, forward=True)
     labels[:n] = labels[n - 1 :: -1]
     b = _extensions(rounds, _packed_letters(labels, m)[::-1], m, jj, forward=False)
+    # No block and no pair with f + b >= j - i: no run.  `period` is built
+    # only once the rounds are freed, which keeps the process peak lower.
+    if blocks.size == 0 and not np.any(f + b + np.arange(n - 1, dtype=np.int32) >= jj):
+        labels[:n] = labels[n - 1 :: -1]
+        del codes, cuts, edges, jj, f, b
+        return _occurrence_candidates(labels, m, rounds)
     del rounds, labels
     period = jj - np.arange(n - 1, dtype=np.int32)
     keep = np.flatnonzero(f + b >= period)
@@ -399,7 +405,9 @@ def _run_candidates(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _occurrence_candidates(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _occurrence_candidates(
+    labels: np.ndarray, m: int, rounds: list[np.ndarray | None]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidates (start, end, period) that hold the best extension of any
     word: the trivial (0, 1, 1) and one champion per doubling level k, the
     best of the pairs i < j of text-consecutive occurrences of a 2^k-letter
@@ -418,13 +426,11 @@ def _occurrence_candidates(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarra
     Levels run from the top down, dropping each round once no lower level
     needs it: a pair of level k lifts only through rounds up to k.  Windows
     under m letters are keyed by packed letters (32 bits at most, ranks 31)
-    beside a position in one sort; j = n (end-of-text) marks no pair.
+    beside a position in one sort; j = n (end-of-text) marks no pair.  The
+    labels, m and rounds are those of ``_candidates``; the rounds are used up.
     """
-    n = len(text)
-    labels = _letter_labels(np.frombuffer(text.encode("ascii"), dtype=np.uint8))
-    m = _packing_width(int(labels.max()))
+    n = labels.size - 1
     lift = m.bit_length() - 1
-    rounds = _doubling_ranks(labels, lift)
     packed = _packed_letters(labels, m)
     pbits = (n - 1).bit_length()
 
@@ -484,13 +490,14 @@ def max_runs(prefix: Word) -> list[Run]:
     """All maximal repetitions of exponent >= 2, sorted by start then period."""
     if len(prefix) < 1:
         raise ParameterError("word must be nonempty")
-    start, end, period = _run_candidates(prefix.text)
+    start, end, period = _candidates(prefix.text)
     key = start.astype(np.int64) * (len(prefix) + 1) + end
     order = np.lexsort((period, key))
     chosen = order[np.unique(key[order], return_index=True)[1]]  # the smallest period of each span
     runs = [
         Run(int(s), int(p), int(e - s))
         for s, e, p in zip(start[chosen], end[chosen], period[chosen])
+        if e - s >= 2 * p  # a run-free word's candidates have exponent below 2
     ]
     runs.sort(key=lambda run: (run.start, run.period))
     return runs
@@ -504,10 +511,7 @@ def word_index_estimate(prefix: Word) -> IndexReport:
     """
     if len(prefix) < 1:
         raise ParameterError("word must be nonempty")
-    candidates = _run_candidates(prefix.text)
-    if candidates[0].size == 0:
-        candidates = _occurrence_candidates(prefix.text)
-    length, period, start = _best_extension(*candidates)
+    length, period, start = _best_extension(*_candidates(prefix.text))
     return IndexReport(
         prefix_length=len(prefix),
         index_estimate=Fraction(length, period),

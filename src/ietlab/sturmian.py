@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -302,15 +302,7 @@ class BlockParse:
         return "".join(long_b if tag == "long" else short_b for tag in self.tags)
 
     def to_json_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "root": self.root,
-            "filler": self.filler,
-            "k": self.k,
-            "tags": list(self.tags),
-            "consumed": self.consumed,
-            "tail_length": self.tail_length,
-        }
+        return asdict(self)
 
 
 def block_decompose(prefix: Word, cf: CFExpansion, level: int) -> BlockParse:

@@ -13,7 +13,7 @@ scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -221,17 +221,7 @@ class ProjectionReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "prefix_length": self.prefix_length,
-            "certificate_depth": self.certificate_depth,
-            "roundtrip_ok": self.roundtrip_ok,
-            "b01_complexity_ok": self.b01_complexity_ok,
-            "b01_balance_ok": self.b01_balance_ok,
-            "b10_complexity_ok": self.b10_complexity_ok,
-            "b10_balance_ok": self.b10_balance_ok,
-            "rotation_match": self.rotation_match,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def verify_projections(

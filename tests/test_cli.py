@@ -17,6 +17,7 @@ from ietlab.exactreal import _squarefree_split
 GOLDEN_EPS = "(-1+1*sqrt(5))/2"
 SILVER_EPS = "(-1+1*sqrt(2))/1"
 FORTY_TWOS = "0" + ",2" * 40
+MILLION_EPS = "(-1000000+1*sqrt(1000000000001))/1"  # partial quotients 2*10^6
 
 
 def run(capsys, *argv):
@@ -275,6 +276,30 @@ class TestVerify:
         value = argv[-1]
         code, out, err = run(capsys, "verify", *argv)
         assert (code, out, err) == (2, "", f"error: --nmax: must be >= 1 (got {value})\n")
+
+    @staticmethod
+    def theorem3(eps, nmax):
+        return subprocess.run(
+            [sys.executable, "-m", "ietlab", "verify", "theorem3", "--eps", eps, "-N", "1000",
+             "--nmax", nmax],
+            capture_output=True, text=True, timeout=5,
+            env={**os.environ, "PYTHONINTMAXSTRDIGITS": "4300"},
+        )
+
+    @pytest.mark.parametrize("eps, nmax, err", [
+        (GOLDEN_EPS, "25000", "error: --nmax: must be <= 4096 (got 25000)\n"),
+        (MILLION_EPS, "800", "error: --nmax: 800 gives integers over Python's 4300-digit limit\n"),
+        (MILLION_EPS, "4096", "error: --nmax: 4096 gives integers over Python's 4300-digit limit\n"),
+    ])
+    def test_theorem3_nmax_refused_in_time(self, eps, nmax, err):
+        # unrefused, each exits 1 in int-to-str conversion, the last after about a minute
+        result = self.theorem3(eps, nmax)
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", err)
+
+    def test_theorem3_nmax_at_the_limit(self):
+        result = self.theorem3(GOLDEN_EPS, "4096")
+        assert result.returncode == 0
+        assert json.loads(result.stdout)["formula"]["n_max"] == 4096
 
 
 class TestExperiments:

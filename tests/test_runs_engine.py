@@ -6,16 +6,21 @@ import sys
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ietlab import repetitions
 from ietlab.exactreal import CFExpansion, QuadraticReal
 from ietlab.repetitions import (
     IndexReport,
     Run,
     _best_extension,
+    _candidates,
+    _doubling_ranks,
+    _letter_labels,
     _occurrence_candidates,
-    _run_candidates,
+    _packing_width,
     max_runs,
     word_index_estimate,
 )
@@ -39,7 +44,7 @@ def check_engine(text):
     runs = [(r.start, r.period, r.length) for r in max_runs(word)]
     assert runs == naive_runs(text)
     assert word_index_estimate(word).index_estimate == naive_index(text)
-    assert _run_candidates(text)[0].size <= 2 * len(text)
+    assert _candidates(text)[0].size <= 2 * len(text)
     return runs
 
 
@@ -65,7 +70,23 @@ def test_small_words_match_oracles(text):
 @given(small_words())
 def test_occurrence_candidates_hold_the_sweep_best(text):
     # the proof does not need a square-free word, so words with runs check it too
-    assert _best_extension(*_occurrence_candidates(text)) == fractional_best(text)
+    labels = _letter_labels(np.frombuffer(text.encode("ascii"), dtype=np.uint8))
+    m = _packing_width(int(labels.max()))
+    rounds = _doubling_ranks(labels, m.bit_length() - 1)
+    assert _best_extension(*_occurrence_candidates(labels, m, rounds)) == fractional_best(text)
+
+
+@pytest.mark.parametrize("text", [vtm_prefix(5000), "abaababaab" * 300])
+def test_one_doubling_pass_per_word(monkeypatch, text):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _doubling_ranks(*args)
+
+    monkeypatch.setattr(repetitions, "_doubling_ranks", counted)
+    word_index_estimate(Word.from_text(text))
+    assert len(calls) == 1
 
 
 def test_runs_at_both_ends():

@@ -19,13 +19,13 @@ from ietlab.errors import ParameterError
 from ietlab.exactreal import CFExpansion
 from ietlab.repetitions import (
     SHORT_ENDS,
+    _candidates,
     _doubling_ranks,
     _extensions,
     _letter_labels,
     _lyndon_ends,
     _packed_letters,
     _packing_width,
-    _run_candidates,
     word_index_estimate,
 )
 from ietlab.sturmian import characteristic_prefix
@@ -227,4 +227,4 @@ def test_engine_refuses_words_past_int32_positions():
             return 2**30 + 1
 
     with pytest.raises(ParameterError, match="2\\^30"):
-        _run_candidates(Huge("ab"))
+        _candidates(Huge("ab"))
