@@ -25,6 +25,7 @@ from .exactreal import (
 )
 from .repetitions import brute_force_index, word_index_estimate
 from .sturmian import (
+    MAX_LETTERS,
     RotationParams,
     SturmianParams,
     block_decompose,
@@ -219,7 +220,14 @@ def _build_word(args) -> Word:
         return characteristic_prefix(_cf_flag(args.cf), args.length)
     if kind == "standard":
         _require(args, {"cf": "--cf", "level": "--level"}, "generate standard")
-        return standard_word(_cf_flag(args.cf), args.level)
+        cf = _cf_flag(args.cf)
+        if args.level >= 1:
+            # q_level = |s_level| may have thousands of digits: compare, never format
+            q_level = cf.convergents(args.level)[-1][1]
+            if q_level > MAX_LETTERS:
+                raise ParameterError(f"--level: s_{args.level} has more than {MAX_LETTERS} letters")
+            _require_memory(args, q_level, "--level")
+        return standard_word(cf, args.level)
     raise ParameterError(f"unknown kind {kind!r}")
 
 
@@ -274,7 +282,7 @@ def _verify_theorem3(args) -> tuple[dict, bool]:
         raise ParameterError(f"--nmax: must be <= {MAX_CF_STATES} (got {args.nmax})")
     if args.eps is not None:
         eps = _number(args.eps, "--eps")
-        cf = cf_expand(eps, max(args.nmax or 1, 8))
+        cf = cf_expand(eps, 8)
     elif args.cf is not None:
         cf = _cf_flag(args.cf)
     else:
@@ -494,10 +502,7 @@ def main(argv=None) -> int:
         if getattr(args, "nmax", None) is not None and args.nmax < 1:
             raise ParameterError(f"--nmax: must be >= 1 (got {args.nmax})")
         return args.handler(args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - internal failure contract

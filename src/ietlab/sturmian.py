@@ -9,8 +9,6 @@ fraction of eps.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -154,47 +152,44 @@ def sturmian_word(params: SturmianParams, n_letters: int) -> Word:
     return rotation_word(rot, n_letters)
 
 
-def _standard_words(cf: CFExpansion) -> Iterator[str]:
-    """s_1, s_2, ... of the recursion
-
-    s_-1 = 1, s_0 = 0, s_1 = s_0^(a_1 - 1) s_-1,
-    s_(n+1) = s_n^(a_(n+1)) s_(n-1).
-
-    s_n is built only when asked for, so it reads a_1, ..., a_n and no more.
-    """
-    prev, cur = "0", "0" * (cf.coefficient(1) - 1) + "1"
-    for n in itertools.count(2):
-        yield cur
-        prev, cur = cur, cur * cf.coefficient(n) + prev
-
-
 def standard_word(cf: CFExpansion, level: int) -> Word:
-    """The standard word s_level, level >= -1 (see ``_standard_words``)."""
+    """The standard word s_level, level >= -1 (see ``characteristic_prefix``).
+
+    s_level has |s_level| = q_level letters and, for level >= 1, is a prefix
+    of the characteristic word.
+    """
     if level < -1:
         raise ParameterError("level must be >= -1")
     if level == -1:
         return Word._trusted("1", BINARY)
     if level == 0:
         return Word._trusted("0", BINARY)
-    return Word._trusted(next(itertools.islice(_standard_words(cf), level - 1, None)), BINARY)
+    return characteristic_prefix(cf, cf.convergents(level)[-1][1])
 
 
 def characteristic_prefix(cf: CFExpansion, n_letters: int) -> Word:
-    """Length-n prefix of the limit of the standard words.
+    """Length-n prefix of the limit of the standard words
 
-    Any s_m of length >= n has the same prefix (prefix stability of the
-    recursion).
+    s_-1 = 1, s_0 = 0, s_1 = s_0^(a_1 - 1) s_-1,
+    s_(m+1) = s_m^(a_(m+1)) s_(m-1).
+
+    Any s_m, m >= 1, of length >= n has the same prefix (prefix stability
+    of the recursion), and so does s_m^c s_(m-1) with c = ceil(n / |s_m|).
+    The last step therefore repeats s_m only min(a_(m+1), c) times; as
+    |s_(m-1)| <= |s_m| < n, no word of 3n letters or more is built.
     """
     require_length(n_letters)
-    n = 0
+    prev, cur, m = "1", "0", 0
     try:
-        for n, word in enumerate(_standard_words(cf), 1):
-            if len(word) >= n_letters:
-                return Word._trusted(word[:n_letters], BINARY)
+        while m == 0 or len(cur) < n_letters:
+            m += 1
+            repeats = min(cf.coefficient(m) - (m == 1), -(-n_letters // len(cur)))
+            prev, cur = cur, cur * repeats + prev
     except InsufficientCoefficientsError:
         raise InsufficientCoefficientsError(
-            f"need |s_n| >= {n_letters} but coefficients end at a_{n}"
+            f"need |s_n| >= {n_letters} but coefficients end at a_{m - 1}"
         ) from None
+    return Word._trusted(cur[:n_letters], BINARY)
 
 
 @dataclass(frozen=True)
@@ -306,57 +301,48 @@ class BlockParse:
 
 
 def block_decompose(prefix: Word, cf: CFExpansion, level: int) -> BlockParse:
-    """Parse a prefix into long/short blocks by backtracking (long first).
+    """Parse a prefix into long/short blocks greedily: long, else short.
 
-    Greedy parsing without backtracking misparses at low levels, so failed
-    positions are memoized and alternatives explored.  Fails only when no
-    decomposition covers more than nothing and leaves a tail shorter than
-    the long block.
+    Fails only when no decomposition covers more than nothing and leaves a
+    tail shorter than the long block.  Greedy finds the first parse in the
+    order long, short, stop, so it needs no backtracking: where both blocks
+    match, the |E| letters after the short block E^k F are (E F)[|F|:], as
+    the long block is E^k E F, and the short branch goes on only if they are
+    E, since every block starts with E (k >= 1).  At level 1 with a_1 = 1
+    that reads 0 = 1; otherwise F is a prefix of E and it means E F = F E,
+    which consecutive standard words never satisfy (Lyndon-Schutzenberger:
+    their lengths are coprime and E holds both letters).  So the short
+    branch stops at once, with a longer tail than the long branch.  A short
+    block longer than the prefix fails before any word is built.
     """
     if level < 1:
         raise ParameterError("level must be >= 1")
-    root = standard_word(cf, level).text
-    filler = standard_word(cf, level - 1).text
+    (_, q_prev), (_, q) = cf.convergents(level)[-2:]
     k = cf.coefficient(level + 1)
-    long_b = root * (k + 1) + filler
-    short_b = root * k + filler
     text = prefix.text
     n = len(text)
-    if not (text.startswith(long_b) or text.startswith(short_b)):
+    if k * q + q_prev > n:
         raise BlockParseError("prefix does not begin with either block", 0)
-    dead: set[int] = set()
+    root = standard_word(cf, level).text
+    filler = root[:q_prev] if level > 1 else "0"
+    blocks = {"long": root * (k + 1) + filler, "short": root * k + filler}
     tags: list[str] = []
-    stack: list[list[int]] = [[0, 0]]
-    while stack:
-        pos, option = stack[-1]
-        if option == 0:
-            stack[-1][1] = 1
-            nxt = pos + len(long_b)
-            if nxt <= n and nxt not in dead and text.startswith(long_b, pos):
-                tags.append("long")
-                stack.append([nxt, 0])
-            continue
-        if option == 1:
-            stack[-1][1] = 2
-            nxt = pos + len(short_b)
-            if nxt <= n and nxt not in dead and text.startswith(short_b, pos):
-                tags.append("short")
-                stack.append([nxt, 0])
-            continue
-        if tags and n - pos < len(long_b):
-            return BlockParse(
-                level=level,
-                root=root,
-                filler=filler,
-                k=k,
-                tags=tuple(tags),
-                consumed=pos,
-                tail_length=n - pos,
-            )
-        dead.add(pos)
-        stack.pop()
-        if tags:
-            tags.pop()
-    raise BlockParseError(
-        "no block decomposition leaves a tail shorter than the long block", 0
+    pos = 0
+    while tag := next((t for t, b in blocks.items() if text.startswith(b, pos)), None):
+        tags.append(tag)
+        pos += len(blocks[tag])
+    if not tags:
+        raise BlockParseError("prefix does not begin with either block", 0)
+    if n - pos >= len(blocks["long"]):
+        raise BlockParseError(
+            "no block decomposition leaves a tail shorter than the long block", 0
+        )
+    return BlockParse(
+        level=level,
+        root=root,
+        filler=filler,
+        k=k,
+        tags=tuple(tags),
+        consumed=pos,
+        tail_length=n - pos,
     )

@@ -5,14 +5,16 @@ own code paths: mpmath decimals serve as the numeric oracle, and repetition
 quantities are recomputed with direct scans.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpf, sqrt
 
-from ietlab.errors import ParameterError
+from ietlab.errors import BlockParseError, ParameterError
 from ietlab.exactreal import QuadraticReal
 from ietlab.repetitions import word_index_estimate
+from ietlab.sturmian import BlockParse, standard_word
 from ietlab.threeiet import NotAmicable
 from ietlab.words import BINARY, BalanceCheck, Morphism, Word
 
@@ -269,6 +271,77 @@ def fib_char_prefix(n_letters):
     while len(cur) < n_letters:
         prev, cur = cur, cur + prev
     return cur[:n_letters]
+
+
+def standard_words(cf):
+    """s_1, s_2, ... of the recursion
+
+    s_-1 = 1, s_0 = 0, s_1 = s_0^(a_1 - 1) s_-1,
+    s_(n+1) = s_n^(a_(n+1)) s_(n-1).
+
+    s_n is built only when asked for, so it reads a_1, ..., a_n and no more.
+    """
+    prev, cur = "0", "0" * (cf.coefficient(1) - 1) + "1"
+    for n in itertools.count(2):
+        yield cur
+        prev, cur = cur, cur * cf.coefficient(n) + prev
+
+
+def backtracking_block_parse(prefix, cf, level):
+    """Parse a prefix into long/short blocks by backtracking (long first).
+
+    Failed positions are memoized and alternatives explored, so this returns
+    the first parse in the order long, short, stop.  Fails only when no
+    decomposition covers more than nothing and leaves a tail shorter than
+    the long block.
+    """
+    if level < 1:
+        raise ParameterError("level must be >= 1")
+    root = standard_word(cf, level).text
+    filler = standard_word(cf, level - 1).text
+    k = cf.coefficient(level + 1)
+    long_b = root * (k + 1) + filler
+    short_b = root * k + filler
+    text = prefix.text
+    n = len(text)
+    if not (text.startswith(long_b) or text.startswith(short_b)):
+        raise BlockParseError("prefix does not begin with either block", 0)
+    dead: set[int] = set()
+    tags: list[str] = []
+    stack: list[list[int]] = [[0, 0]]
+    while stack:
+        pos, option = stack[-1]
+        if option == 0:
+            stack[-1][1] = 1
+            nxt = pos + len(long_b)
+            if nxt <= n and nxt not in dead and text.startswith(long_b, pos):
+                tags.append("long")
+                stack.append([nxt, 0])
+            continue
+        if option == 1:
+            stack[-1][1] = 2
+            nxt = pos + len(short_b)
+            if nxt <= n and nxt not in dead and text.startswith(short_b, pos):
+                tags.append("short")
+                stack.append([nxt, 0])
+            continue
+        if tags and n - pos < len(long_b):
+            return BlockParse(
+                level=level,
+                root=root,
+                filler=filler,
+                k=k,
+                tags=tuple(tags),
+                consumed=pos,
+                tail_length=n - pos,
+            )
+        dead.add(pos)
+        stack.pop()
+        if tags:
+            tags.pop()
+    raise BlockParseError(
+        "no block decomposition leaves a tail shorter than the long block", 0
+    )
 
 
 def vtm_prefix(n_letters):

@@ -394,12 +394,68 @@ def test_oversized_length_refused_before_allocating(argv):
                         r"above the \d+ MiB memory limit\n", result.stderr)
 
 
+HUGE_QUOTIENT_CASES = [
+    (("generate", "characteristic", "--cf", "0,10000000000", "-N", "10"), 0, "0000000000\n"),
+    (("index", "--kind", "characteristic", "--cf", "0,3000000000", "-N", "5"), 0,
+     '{"prefix_length": 5, "index_num": 5, "index_den": 1, "witness": {"start": 0, '
+     '"period": 1, "length": 5}, "max_integer_power": {"j": 5, "witness": "0"}}\n'),
+    (("generate", "characteristic", "--cf", "0,1,1500000000", "-N", "5"), 0, "11111\n"),
+    (("generate", "standard", "--cf", "0,10000000000", "--level", "1"), 2, ""),
+    (("verify", "theorem3", "--eps", "(-10000000000+1*sqrt(100000000000000000004))/2",
+      "-N", "100"), 0, None),
+    (("verify", "blocks", "--cf", "0" + ",1" * 100, "--level", "90", "-N", "100"), 4,
+     '{"check": "blocks", "error": "prefix does not begin with either block (position 0)", '
+     '"passed": false}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout", HUGE_QUOTIENT_CASES, ids=[
+    "characteristic-a1", "index-characteristic", "characteristic-a2", "standard-level-1",
+    "theorem3-eps", "blocks-level-90",
+])
+def test_huge_standard_words_never_built(argv, code, stdout):
+    # A partial quotient of 10^10, or s_90 with F_91 letters, is far past a
+    # 2 GiB address-space cap: only the letters asked for may be built.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "ietlab", *argv],
+        capture_output=True, text=True, timeout=10, preexec_fn=cap,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert result.returncode == code, result.stderr
+    if stdout is not None:
+        assert result.stdout == stdout
+    if code == 2:
+        assert result.stderr == "error: --level: s_1 has more than 2147483648 letters\n"
+    else:
+        assert result.stderr == ""
+
+
 def test_lengths_over_the_memory_limit_exit_2(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_memory_limit", lambda: cli.BASE_BYTES)
     code, out, err = run(capsys, "experiment", "index-convergence", "--eps", SILVER_EPS,
                          "--ell", "7/10", "--lengths", "10,1000")
     assert (code, out) == (2, "")
     assert err == "error: --lengths: 1000 letters need about 32 MiB, above the 32 MiB memory limit\n"
+
+
+def test_level_over_the_memory_limit_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_memory_limit", lambda: cli.BASE_BYTES)
+    for argv in (("generate", "standard"), ("index", "--kind", "standard")):
+        code, out, err = run(capsys, *argv, "--cf", "0,1,1,1,1", "--level", "4")
+        assert (code, out) == (2, "")
+        assert err == "error: --level: 5 letters need about 32 MiB, above the 32 MiB memory limit\n"
+
+
+def test_level_past_max_letters_is_never_formatted(capsys):
+    # q_30000 of the golden slope has 6270 digits, past Python's 4300-digit
+    # limit on int -> str conversion
+    code, out, err = run(capsys, "generate", "standard", "--cf", "0" + ",1" * 30000,
+                         "--level", "30000")
+    assert (code, out) == (2, "")
+    assert err == "error: --level: s_30000 has more than 2147483648 letters\n"
 
 
 def test_module_entry_point():

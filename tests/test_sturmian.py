@@ -1,8 +1,11 @@
 """Tests for rotation words, standard words, the index formula and blocks."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from ietlab.errors import BlockParseError, InsufficientCoefficientsError, ParameterError
@@ -20,7 +23,15 @@ from ietlab.sturmian import (
 )
 from ietlab.words import BINARY, Word, is_balanced
 
-from oracles import EXCHANGE_01, factors, fib_char_prefix, mp_cf, mp_value
+from oracles import (
+    EXCHANGE_01,
+    backtracking_block_parse,
+    factors,
+    fib_char_prefix,
+    mp_cf,
+    mp_value,
+    standard_words,
+)
 
 PHI_MINUS_1 = QuadraticReal(-1, 1, 5, 2)
 SQRT2_MINUS_1 = QuadraticReal(-1, 1, 2, 1)
@@ -128,11 +139,15 @@ class TestCharacteristicPrefix:
                            match=r"^need \|s_n\| >= 100 but coefficients end at a_3$"):
             characteristic_prefix(cf, 100)
 
+    def test_partial_last_step_reads_no_further_coefficient(self):
+        # s_1 = 001 and s_2 = (001)^5 0; two copies of s_1 cover five letters
+        assert characteristic_prefix(CFExpansion.from_quotients([3, 5]), 5).text == "00100"
+
     @pytest.mark.parametrize("cf", [FIB_CF, SQRT2_CF,
                                     CFExpansion.from_quotients([1, 2, 3, 4] * 10)])
     def test_agrees_with_standard_words(self, cf):
         # n = |s_L| is the longest prefix s_L covers; n = |s_L| + 1 needs s_(L+1)
-        words = [standard_word(cf, level).text for level in range(1, 14)]
+        words = list(itertools.islice(standard_words(cf), 13))
         for n in [len(word) + extra for word in words[:12] for extra in (0, 1)]:
             covering = next(word for word in words if len(word) >= n)
             assert characteristic_prefix(cf, n).text == covering[:n]
@@ -237,6 +252,59 @@ class TestBlockDecomposition:
     def test_level_validation(self):
         with pytest.raises(ParameterError):
             block_decompose(characteristic_prefix(FIB_CF, 30), FIB_CF, 0)
+
+    def test_short_block_longer_than_prefix_builds_nothing(self):
+        # s_90 of the golden slope has F_91 > 4 * 10^18 letters
+        cf = CFExpansion.from_quotients([1] * 100)
+        with pytest.raises(BlockParseError, match=r"^prefix does not begin with either block"):
+            block_decompose(characteristic_prefix(cf, 100), cf, 90)
+
+
+def assert_parse_matches_backtracking(prefix, cf, level):
+    """block_decompose gives the backtracking parse, or the same error."""
+    try:
+        expected = backtracking_block_parse(prefix, cf, level)
+    except BlockParseError as exc:
+        with pytest.raises(BlockParseError) as got:
+            block_decompose(prefix, cf, level)
+        assert str(got.value) == str(exc)
+        return
+    parse = block_decompose(prefix, cf, level)
+    assert (parse.tags, parse.consumed) == (expected.tags, expected.consumed)
+    assert (parse.root, parse.filler, parse.k) == (expected.root, expected.filler, expected.k)
+
+
+@pytest.mark.parametrize("quotients", [
+    [1] * 8, [2] * 8, [1, 2] * 4, [2, 1, 3, 1, 2, 1, 1, 1], [3, 1, 1, 2, 1, 1, 1, 1],
+])
+def test_greedy_parse_matches_backtracking_on_every_short_word(quotients):
+    cf = CFExpansion.from_quotients(quotients)
+    words = ["0", *itertools.islice(standard_words(cf), 7)]  # s_0, s_1, ..., s_7
+    for level in (1, 2, 3):
+        # the root and filler against the plain recursion
+        parse = block_decompose(Word(words[7], BINARY), cf, level)
+        assert (parse.root, parse.filler) == (words[level], words[level - 1])
+        for length in range(1, 13):
+            for letters in itertools.product("01", repeat=length):
+                assert_parse_matches_backtracking(Word("".join(letters), BINARY), cf, level)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    quotients=st.lists(st.integers(1, 6), min_size=20, max_size=20),  # q_19 > 3000
+    level=st.integers(1, 8),
+    standard=st.booleans(),
+    size=st.integers(1, 3000),
+)
+def test_greedy_parse_matches_backtracking_on_sturmian_prefixes(quotients, level, standard, size):
+    cf = CFExpansion.from_quotients(quotients)
+    if standard:
+        # the longest standard word of at most `size` letters, s_1 at least
+        m = max([1] + [n for n, (_, q) in enumerate(cf.convergents(19)) if n and q <= size])
+        prefix = Word(next(itertools.islice(standard_words(cf), m - 1, None)), BINARY)
+    else:
+        prefix = characteristic_prefix(cf, size)
+    assert_parse_matches_backtracking(prefix, cf, level)
 
 
 class TestLanguageCoincidence:
