@@ -164,7 +164,11 @@ def standard_word(cf: CFExpansion, level: int) -> Word:
         return Word._trusted("1", BINARY)
     if level == 0:
         return Word._trusted("0", BINARY)
-    return characteristic_prefix(cf, cf.convergents(level)[-1][1])
+    q_level = cf.convergents(level)[-1][1]
+    # q_level may have thousands of digits: compare, never format
+    if q_level > MAX_LETTERS:
+        raise ParameterError(f"level: s_{level} has more than {MAX_LETTERS} letters")
+    return characteristic_prefix(cf, q_level)
 
 
 def characteristic_prefix(cf: CFExpansion, n_letters: int) -> Word:

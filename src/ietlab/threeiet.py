@@ -240,9 +240,7 @@ def verify_projections(
     roundtrip = ternarize(b01, b10) == word
 
     def sturmian_certificates(image: Word) -> tuple[bool, bool]:
-        complexity = all(
-            image.factor_complexity(n) == n + 1 for n in range(1, depth + 1)
-        )
+        complexity = image.factor_complexities(depth) == list(range(2, depth + 2))
         balance = is_balanced(image, depth).balanced
         return complexity, balance
 

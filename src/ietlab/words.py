@@ -91,42 +91,95 @@ class Word:
         return self.text.count(letter)
 
     def factor_complexity(self, n: int) -> int:
-        """Number of distinct length-n factors.
+        """Number of distinct length-n factors."""
+        return self.factor_complexities(n)[-1] if n else 1
 
-        Each window is coded exactly by Horner's rule over b-bit letter
-        indices in alphabet order, b = max(1, bit length of k - 1) for k
-        letters, appending at most 32 // b letters at a time.  Before more
-        letters are appended, the partial codes are replaced by their dense
-        ranks, so a code needs at most 64 bits for any word shorter than
-        2**32 letters.
+    def factor_complexities(self, depth: int) -> list[int]:
+        """[p(1), ..., p(depth)], p(n) the number of distinct length-n factors.
+
+        Every position starts a window of ``depth`` letters, coded by Horner's
+        rule over b-bit letter indices 1..k in alphabet order and padded past
+        the end with the sentinel 0, b = bit length of k for k letters.  In
+        sorted order, the length-n prefixes of the distinct windows take
+        1 + c(n) values, c(n) the number of neighbour pairs whose common
+        prefix is shorter than n.  The n - 1 windows that start within n - 1
+        letters of the end each have a distinct prefix holding the sentinel,
+        so p(n) = c(n) - n + 2.
+
+        A window of more than 64 bits is cut into chunks of 32 // b letters.
+        The windows are ordered by prefix doubling from the codes of their
+        first chunk: the rank of a window of w + s letters, s <= w, is the
+        rank of the pair (rank at i, rank at i + s) of w-letter windows, and
+        the all-sentinel window past the end ranks 0.  A neighbour pair's
+        common prefix then ends in the first chunk whose codes differ.
         """
         text = self.text
-        if not 0 <= n <= len(text):
-            raise ParameterError(f"factor length {n} exceeds word length {len(text)}")
-        if n == 0:
-            return 1
+        if not 0 <= depth <= len(text):
+            raise ParameterError(f"factor length {depth} exceeds word length {len(text)}")
+        if depth == 0:
+            return []
         table = np.zeros(256, dtype=np.uint8)
-        table[[ord(letter) for letter in self.alphabet]] = np.arange(len(self.alphabet))
-        letters = table[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
-        bits = max(1, (len(self.alphabet) - 1).bit_length())
-        chunk = 32 // bits
-        windows = len(text) - n + 1
-        key = np.zeros(windows, dtype=np.uint16)
-        key_bits = 0
-        for first in range(0, n, chunk):
-            if first:
-                _, key = np.unique(key, return_inverse=True)
-                key_bits = int(key.max()).bit_length()
-            last = min(n, first + chunk)
-            key_bits += bits * (last - first)
-            # The smallest unsigned type of at least 16 bits (numpy sorts
-            # uint8 about ten times slower than uint16).
-            key = key.astype(np.min_scalar_type((1 << max(key_bits, 9)) - 1), copy=False)
-            for j in range(first, last):
-                key <<= bits
-                key |= letters[j : j + windows]
-        key.sort()
-        return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
+        table[[ord(letter) for letter in self.alphabet]] = np.arange(1, len(self.alphabet) + 1)
+        letters = np.zeros(len(text) + depth - 1, dtype=np.uint8)
+        letters[: len(text)] = table[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
+        bits = len(self.alphabet).bit_length()
+        chunk = depth if depth * bits <= 64 else 32 // bits
+        spans = [(first, min(depth, first + chunk)) for first in range(0, depth, chunk)]
+        key = _window_codes(letters, slice(0, len(text)), len(text), *spans[0], bits)
+        if len(spans) == 1:
+            del letters  # the codes hold every letter needed from here on
+            key.sort()
+            codes = [key[_first_of_each_value(key)]]
+        else:
+            rank = key.astype(np.uint64)  # below 2**32
+            width = chunk
+            while width < depth:
+                step = min(width, depth - width)
+                later = np.zeros_like(rank)
+                later[:-step] = rank[step:]
+                # below 2**64 while ranks are below 2**32
+                _, rank = np.unique(rank * (int(rank.max()) + 1) + later, return_inverse=True)
+                rank = rank.astype(np.uint64) + 1
+                width += step
+            order = np.argsort(rank)
+            starts = order[_first_of_each_value(rank[order])]
+            codes = (_window_codes(letters, starts, len(starts), first, last, bits)
+                     for first, last in spans)
+        # From here on only the distinct windows, in sorted order, count.
+        same = True  # pairs equal in every chunk so far
+        shorter = 0  # pairs that differ in an earlier chunk
+        counts = []
+        for (first, last), code in zip(spans, codes):
+            differ = code[1:] ^ code[:-1]
+            differ *= same
+            same &= differ == 0
+            # The common prefix ends before letter n exactly when the codes
+            # differ in one of the letters first..n-1 of the chunk.
+            for n in range(first + 1, last + 1):
+                counts.append(shorter + np.count_nonzero(differ >= 1 << bits * (last - n)))
+            shorter += np.count_nonzero(differ)
+        return [int(count) - n + 2 for n, count in enumerate(counts, 1)]
+
+
+def _window_codes(letters: np.ndarray, starts, size: int, first: int, last: int,
+                  bits: int) -> np.ndarray:
+    """Codes of letters first..last-1 of the ``size`` windows at ``starts``
+    (a slice or an index array)."""
+    # The smallest unsigned type of at least 16 bits (numpy sorts uint8
+    # about ten times slower than uint16).
+    dtype = np.min_scalar_type((1 << max(bits * (last - first), 9)) - 1)
+    key = np.zeros(size, dtype=dtype)
+    for j in range(first, last):
+        key <<= bits
+        key |= letters[j:][starts]
+    return key
+
+
+def _first_of_each_value(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from their predecessor."""
+    mask = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=mask[1:])
+    return mask
 
 
 class Morphism:
@@ -148,7 +201,9 @@ class Morphism:
         self._table = str.maketrans(self.images)
 
     def __call__(self, word: Word) -> Word:
-        if set(word.text) - set(self.source):
+        # A word's letters lie in its alphabet; scan them only if it is wider.
+        source = set(self.source)
+        if not source.issuperset(word.alphabet) and not source.issuperset(word.text):
             raise ParameterError("word contains letters outside the source alphabet")
         return Word._trusted(word.text.translate(self._table), self.target)
 

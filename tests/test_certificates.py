@@ -15,7 +15,7 @@ from ietlab.errors import ParameterError
 from ietlab.threeiet import NotAmicable, _scan, ternarize
 from ietlab.words import BINARY, SPLIT_B01, SPLIT_B10, TERNARY, Word, is_balanced
 
-from oracles import factors, sequential_is_balanced, sequential_scan
+from oracles import fib_char_prefix, factors, sequential_is_balanced, sequential_scan
 
 PROPERTY = settings(max_examples=200, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -23,6 +23,7 @@ LONG = settings(max_examples=12, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
 LETTERS = "ABCDE"
+HUNDRED = tuple(chr(code) for code in range(28, 128))  # 7 bits a letter
 
 
 def flip(text, at):
@@ -30,9 +31,11 @@ def flip(text, at):
 
 
 @st.composite
-def words(draw, max_size=120):
-    """A word over 1 to 5 letters in a drawn order, often periodic."""
-    alphabet = tuple(draw(st.permutations(LETTERS[: draw(st.integers(1, 5))])))
+def words(draw, max_size=120, alphabet=None):
+    """A word over 1 to 5 letters in a drawn order, or over ``alphabet``,
+    often periodic."""
+    if alphabet is None:
+        alphabet = tuple(draw(st.permutations(LETTERS[: draw(st.integers(1, 5))])))
     letter = st.sampled_from(alphabet)
     if draw(st.booleans()):
         root = draw(st.text(letter, min_size=1, max_size=6))
@@ -74,11 +77,14 @@ class TestFactorComplexity:
     @LONG
     @given(words(max_size=400), st.integers(0, 2**32 - 1))
     def test_every_length_across_chunks(self, word, seed):
-        # With b bits per letter a chunk holds 32 // b letters (32, 16 or 10
-        # here), so lengths past it append to dense ranks.
-        chunk = 32 // max(1, (len(word.alphabet) - 1).bit_length())
+        # With b bits per letter (the sentinel takes code 0) a window of more
+        # than 64 // b letters is cut into chunks of 32 // b letters (32, 16
+        # or 10 here), and lengths past a chunk append to dense ranks.
+        bits = len(word.alphabet).bit_length()
+        chunk = 32 // bits
         rng = random.Random(seed)
-        lengths = {0, len(word), chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 3 * chunk}
+        lengths = {0, len(word), chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 3 * chunk,
+                   64 // bits, 64 // bits + 1}
         lengths |= {rng.randint(0, len(word)) for _ in range(5)}
         for n in sorted(length for length in lengths if 0 <= length <= len(word)):
             assert word.factor_complexity(n) == len(factors(word, n)), n
@@ -101,6 +107,67 @@ class TestFactorComplexity:
             with pytest.raises(ParameterError):
                 word.factor_complexity(n)
         assert Word("", BINARY).factor_complexity(0) == 1
+
+
+def expected_complexities(word, depth):
+    return [len(factors(word, n)) for n in range(1, depth + 1)]
+
+
+@st.composite
+def words_and_depths(draw):
+    """A word over 1-5 or 100 letters and a depth, often one whose window
+    code is about 64 bits wide, where the kernel starts cutting chunks."""
+    if draw(st.integers(0, 4)):
+        word = draw(words(max_size=150))
+    else:
+        word = draw(words(max_size=40, alphabet=HUNDRED))
+    bits = len(word.alphabet).bit_length()
+    near_64 = [d for d in (63 // bits, 64 // bits, 64 // bits + 1, 65 // bits + 1)
+               if d <= len(word)]
+    depth = st.integers(0, len(word))
+    if near_64:
+        depth = depth | st.sampled_from(near_64)
+    return word, draw(depth)
+
+
+class TestFactorComplexities:
+    @PROPERTY
+    @given(words_and_depths())
+    def test_against_distinct_slices(self, word_and_depth):
+        word, depth = word_and_depth
+        assert word.factor_complexities(depth) == expected_complexities(word, depth)
+
+    @pytest.mark.parametrize("alphabet", [("0",), BINARY, TERNARY, tuple("ABCD"),
+                                          tuple(LETTERS), HUNDRED])
+    def test_keys_63_64_and_65_bits_wide(self, alphabet):
+        # One letter takes 1 bit: depths 63, 64 and 65 give keys of exactly
+        # those widths; the others straddle 64 bits as closely as b allows.
+        bits = len(alphabet).bit_length()
+        rng = random.Random(bits)
+        for text in ("".join(rng.choice(alphabet) for _ in range(300)),
+                     ("".join(rng.choice(alphabet) for _ in range(7)) * 50)[:300]):
+            word = Word(text, alphabet)
+            for depth in range(60 // bits, 70 // bits + 2):
+                assert word.factor_complexities(depth) == expected_complexities(word, depth)
+
+    def test_new_factors_only_in_short_tail_windows(self):
+        # The last letter, and every factor holding it, occur only in the
+        # windows that run past the end of the word.
+        assert Word("0" * 6 + "1", BINARY).factor_complexities(7) == [2, 2, 2, 2, 2, 2, 1]
+        for text in ("0" * 70 + "1", "01" * 40 + "1", "ABCBC", "ABCAB" * 9 + "CB"):
+            word = Word.from_text(text)
+            for depth in sorted({1, 2, 5, len(text) // 2, len(text) - 1, len(text)}):
+                assert word.factor_complexities(depth) == expected_complexities(word, depth)
+
+    def test_empty_word(self):
+        assert Word("", BINARY).factor_complexities(0) == []
+        with pytest.raises(ParameterError):
+            Word("", BINARY).factor_complexities(1)
+
+    def test_sturmian_prefix_through_many_chunks(self):
+        # 300 letters of 2 bits are 19 chunks of 16 letters.
+        word = Word(fib_char_prefix(20000), BINARY)
+        assert word.factor_complexities(300) == list(range(2, 302))
 
 
 class TestBalance:

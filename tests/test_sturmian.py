@@ -115,6 +115,13 @@ class TestStandardWords:
         with pytest.raises(InsufficientCoefficientsError):
             standard_word(cf, 4)
 
+    @pytest.mark.parametrize("level", [50, 30000])
+    def test_level_past_the_letter_limit(self, level):
+        # q_30000 has thousands of digits: the refusal must not format it.
+        cf = CFExpansion.from_quotients([1] * 30000)
+        with pytest.raises(ParameterError, match=rf"^level: s_{level} has more than 2147483648 letters$"):
+            standard_word(cf, level)
+
     def test_prefix_stability(self):
         for cf in (FIB_CF, SQRT2_CF, cf_expand(QuadraticReal(0, 1, 2, 2), 20)):
             words = [standard_word(cf, n).text for n in range(1, 13)]

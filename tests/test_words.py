@@ -62,6 +62,11 @@ class TestProjections:
     def test_letter_outside_source(self):
         with pytest.raises(ParameterError):
             SPLIT_B01(Word("01", BINARY))
+        # An alphabet wider than the source is scanned letter by letter.
+        wider = ("A", "B", "C", "D")
+        assert SPLIT_B01(Word("ABCA", wider)).text == "00110"
+        with pytest.raises(ParameterError):
+            SPLIT_B01(Word("ABDA", wider))
 
     def test_homomorphism_property(self):
         rng = random.Random(41)
