@@ -124,16 +124,26 @@ def _threeiet_params(args, kind: str) -> ThreeIetParams:
 
 # Peak resident memory, fitted to `ietlab` runs at N = 1e6, 4e6 and 1e7 on
 # x86-64 Linux with numpy 2.4: about 32 MiB for the interpreter with numpy,
-# plus per letter under 16 bytes for the generators and the Sturmian
-# certificates, or, with the runs engine, 48 bytes and one kept int32
-# doubling round (4 bytes) per bit of N.  `index` on the silver 3iet word
-# peaked at 148, 528 and 1291 MiB against estimates of 154, 550 and 1405.
+# plus per letter under 16 bytes for the generators, or, with the runs
+# engine, 48 bytes and one kept int32 doubling round (4 bytes) per bit of N.
+# `index` on the silver 3iet word peaked at 148, 528 and 1291 MiB against
+# estimates of 154, 550 and 1405.  `verify abmp` sorts the windows of two
+# projections of under 2N letters each: under 12 bytes a projection letter
+# while --nmax 2-bit letters fit 64 bits, and 74 past that (prefix
+# doubling).  At --nmax 400 and N = 1e6 it peaked at 119 MiB on the golden
+# word with ell 4/5 (1.25N projection letters) and 148 MiB with eps =
+# sqrt(2) - 1 and ell 3/5 (1.67N), against an estimate of 175.
 BASE_BYTES = 32 * 2**20
+ABMP_DEPTH = 10  # the default --nmax of `verify abmp`
 
 
 def _estimated_bytes(args, n_letters: int) -> int:
     """Estimated peak bytes of the command in ``args`` on n_letters letters."""
-    if args.command == "generate" or getattr(args, "check", None) in ("abmp", "blocks"):
+    check = getattr(args, "check", None)
+    if check == "abmp":
+        per_projection_letter = 12 if (args.nmax or ABMP_DEPTH) <= 32 else 75
+        return BASE_BYTES + per_projection_letter * 2 * n_letters
+    if args.command == "generate" or check == "blocks":
         return BASE_BYTES + 16 * n_letters
     if getattr(args, "experiment", None) == "ell-sweep":
         n_letters *= 2  # the collapsed word (B -> 01) has at most twice the letters
@@ -263,17 +273,17 @@ def _cmd_index(args) -> int:
         word = Word.from_text(text)
     else:
         word = _build_word(args)
+    # the oracle's length guard refuses before any output
+    reference = brute_force_index(word) if args.oracle else None
     report = word_index_estimate(word)
     _emit(report.to_json() + "\n", args.out)
-    if args.oracle:
-        reference = brute_force_index(word)
-        if reference != report.index_estimate:
-            print(
-                f"oracle mismatch: estimate {report.index_estimate} "
-                f"!= brute force {reference}",
-                file=sys.stderr,
-            )
-            return EXIT_ORACLE
+    if args.oracle and reference != report.index_estimate:
+        print(
+            f"oracle mismatch: estimate {report.index_estimate} "
+            f"!= brute force {reference}",
+            file=sys.stderr,
+        )
+        return EXIT_ORACLE
     return EXIT_OK
 
 
@@ -324,7 +334,7 @@ def _verify_theorem3(args) -> tuple[dict, bool]:
 def _cmd_verify(args) -> int:
     if args.check == "abmp":
         params = _threeiet_params(args, "verify abmp")
-        depth = 10 if args.nmax is None else args.nmax
+        depth = ABMP_DEPTH if args.nmax is None else args.nmax
         projection = verify_projections(params, args.length, depth)
         report = {"check": "abmp", **projection.to_json_dict()}
         passed = projection.passed
@@ -444,14 +454,18 @@ def _cmd_experiment(args) -> int:
 # parser assembly
 # ---------------------------------------------------------------------------
 
-def _add_common_value_flags(parser: argparse.ArgumentParser):
+def _add_common_value_flags(parser: argparse.ArgumentParser, rotation=False, cf=False):
+    """The value flags of a subcommand: --alpha and --beta only where
+    ``rotation`` words are built, --cf and --level only where ``cf`` is read."""
     parser.add_argument("--eps", help="slope literal, e.g. '(-1+1*sqrt(5))/2'")
     parser.add_argument("--ell", help="interval length literal (or comma list)")
-    parser.add_argument("--alpha", help="rotation literal")
-    parser.add_argument("--beta", help="cut point literal")
+    if rotation:
+        parser.add_argument("--alpha", help="rotation literal")
+        parser.add_argument("--beta", help="cut point literal")
     parser.add_argument("--x0", default="0", help="starting point literal (default 0)")
-    parser.add_argument("--cf", help="continued fraction '0,a1,a2,...'")
-    parser.add_argument("--level", type=int, help="standard-word level n")
+    if cf:
+        parser.add_argument("--cf", help="continued fraction '0,a1,a2,...'")
+        parser.add_argument("--level", type=int, help="standard-word level n")
     parser.add_argument("-N", "--length", dest="length", type=int, help="prefix length")
     parser.add_argument("--out", help="write output to this path instead of stdout")
 
@@ -465,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="print a generated word")
     p_gen.add_argument("kind", choices=GENERATE_KINDS)
-    _add_common_value_flags(p_gen)
+    _add_common_value_flags(p_gen, rotation=True, cf=True)
     p_gen.set_defaults(handler=_cmd_generate)
 
     p_idx = sub.add_parser("index", help="repetition index report as JSON")
@@ -474,13 +488,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_idx.add_argument("--kind", choices=GENERATE_KINDS, help="generate the word instead")
     p_idx.add_argument("--oracle", action="store_true",
                        help="cross-check with the brute-force oracle (exit 3 on mismatch)")
-    _add_common_value_flags(p_idx)
+    _add_common_value_flags(p_idx, rotation=True, cf=True)
     p_idx.set_defaults(handler=_cmd_index)
 
     p_ver = sub.add_parser("verify", help="run a verification check, exit 4 on failure")
     p_ver.add_argument("check", choices=VERIFY_CHECKS)
     p_ver.add_argument("--nmax", type=int, help="depth of certificates or formula terms")
-    _add_common_value_flags(p_ver)
+    _add_common_value_flags(p_ver, cf=True)
     p_ver.set_defaults(handler=_cmd_verify)
 
     p_exp = sub.add_parser("experiment", help="parameter sweeps with CSV/JSON output")

@@ -7,8 +7,8 @@ The transformation acts on [0, ell) with three half-open intervals
 translating by 1 - eps, 1 - 2*eps and -eps respectively; parameters must
 satisfy max(eps, 1 - eps) < ell < 1 with eps irrational.  The word coding an
 orbit projects onto two rotation-coded binary words (B split as 01 or 10),
-and those two projections recombine uniquely by the two-cursor ternarization
-scan.
+and those two projections recombine uniquely by ternarization, one
+whole-array pass over the pairs of letters.
 """
 
 from __future__ import annotations
@@ -111,53 +111,9 @@ def _require_binary(word: Word):
 
 
 # Letter of each pair (first, second) coded 2*first + second: (0,0) -> A,
-# (0,1) -> B (the first half of 01/10), (1,0) -> none, (1,1) -> C.
-_PAIR_LETTERS = np.frombuffer(b"AB\0C", dtype=np.uint8)
-# Positions per numpy block of the scan.
-_SCAN_BLOCK = 2**15
-
-
-def _scan(first: str, second: str) -> tuple[str, int] | NotAmicable:
-    """Two-cursor scan; returns (letters, consumed) up to the last complete
-    alignment, or NotAmicable on a genuine mismatch.
-
-    Until the first mismatch every pair other than (1,0) starts a letter and
-    every (1,0) ends the B begun by a (0,1) just before it.  So the scan
-    fails at the first j holding a (1,0) not preceded by (0,1), or a (0,1)
-    not followed by (1,0) with j < n - 1; a (0,1) at n - 1 is a trailing
-    half-pair, which callers judge.  Blocks of positions carry one position
-    of context on each side.
-    """
-    n = min(len(first), len(second))
-    out = np.empty(n, dtype=np.uint8)
-    filled = 0
-    for start in range(0, n, _SCAN_BLOCK):
-        stop = min(n, start + _SCAN_BLOCK)
-        lo, hi = max(start - 1, 0), min(stop + 1, n)
-        a, b = first[lo:hi], second[lo:hi]
-        # Position -1 reads as (0,0) and position n as (1,0): neither makes
-        # a mismatch.
-        if start == 0:
-            a, b = "0" + a, "0" + b
-        if stop == n:
-            a, b = a + "1", b + "0"
-        pairs = (_bits(a) << 1) | _bits(b)
-        core, before, after = pairs[1:-1], pairs[:-2], pairs[2:]
-        orphan = (core == 2) & (before != 1)
-        bad = np.flatnonzero(orphan | ((core == 1) & (after != 2)))
-        if len(bad):
-            j = int(bad[0])
-            if orphan[j]:
-                return NotAmicable(start + j, "pair (1,0) matches no letter image")
-            return NotAmicable(start + j + 1, "pair (0,1) not followed by (1,0)")
-        letters = _PAIR_LETTERS[core]
-        letters = letters[letters != 0]
-        out[filled : filled + len(letters)] = letters
-        filled += len(letters)
-    consumed = n
-    if n and first[n - 1] == "0" and second[n - 1] == "1":
-        consumed, filled = n - 1, filled - 1  # the B of a trailing half-pair
-    return out[:filled].tobytes().decode("ascii"), consumed
+# (0,1) -> B (the first half of 01/10), (1,1) -> C; (1,0), coded 2, is
+# deleted.
+_PAIR_LETTERS = bytes.maketrans(b"\0\1\3", b"ABC")
 
 
 def _bits(text: str) -> np.ndarray:
@@ -169,19 +125,30 @@ def ternarize(first: Word, second: Word):
     """The unique ternary word mapping to the pair, or NotAmicable.
 
     ``first`` plays the B -> 01 role and ``second`` the B -> 10 role; the
-    relation is not symmetric.
+    relation is not symmetric.  Every pair other than (1,0) starts a letter,
+    and each (1,0) must end the B begun by a (0,1) just before it.  So the
+    pair fails at the first j where "pair j - 1 is (0,1)" and "pair j is
+    (1,0)" disagree, with position -1 read as (0,0); a (0,1) left at n - 1 is
+    a dangling half of a B.
     """
     _require_binary(first)
     _require_binary(second)
-    if len(first) != len(second):
-        return NotAmicable(min(len(first), len(second)), "length mismatch")
-    result = _scan(first.text, second.text)
-    if isinstance(result, NotAmicable):
-        return result
-    letters, consumed = result
-    if consumed != len(first):
-        return NotAmicable(consumed, "dangling unmatched tail")
-    return Word._trusted(letters, TERNARY)
+    n = len(first)
+    if n != len(second):
+        return NotAmicable(min(n, len(second)), "length mismatch")
+    # the codes of the pairs at positions -1, 0, ..., n - 1
+    pairs = _bits("0" + first.text) << 1
+    pairs |= _bits("0" + second.text)
+    bad = np.flatnonzero((pairs[:-1] == 1) != (pairs[1:] == 2))
+    if len(bad):
+        j = int(bad[0])
+        if pairs[j + 1] == 2:
+            return NotAmicable(j, "pair (1,0) matches no letter image")
+        return NotAmicable(j, "pair (0,1) not followed by (1,0)")
+    if pairs[-1] == 1:
+        return NotAmicable(n - 1, "dangling unmatched tail")
+    letters = pairs[1:].tobytes().translate(_PAIR_LETTERS, b"\2")
+    return Word._trusted(letters.decode("ascii"), TERNARY)
 
 
 # ---------------------------------------------------------------------------

@@ -415,7 +415,8 @@ def sequential_is_balanced(word, n_max):
 
 
 def sequential_scan(first, second):
-    """``threeiet._scan`` by two cursors, one pair at a time."""
+    """Two cursors, one pair at a time: (letters, consumed) up to the last
+    complete alignment, or NotAmicable on a mismatch."""
     out = []
     i = 0
     n = min(len(first), len(second))

@@ -1,18 +1,16 @@
 """The numpy certificate kernels against the sequential oracles: factor
-complexity, balance and the ternarization scan."""
+complexity, balance and ternarization."""
 
 import random
 import subprocess
 import sys
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ietlab import threeiet
 from ietlab.errors import ParameterError
-from ietlab.threeiet import NotAmicable, _scan, ternarize
+from ietlab.threeiet import NotAmicable, ternarize
 from ietlab.words import BINARY, SPLIT_B01, SPLIT_B10, TERNARY, Word, is_balanced
 
 from oracles import fib_char_prefix, factors, sequential_is_balanced, sequential_scan
@@ -197,9 +195,8 @@ def expected_ternarize(first, second):
     return Word(letters, TERNARY)
 
 
-def check_scan(first, second):
+def check_ternarize(first, second):
     x, y = Word(first, BINARY), Word(second, BINARY)
-    assert _scan(first, second) == sequential_scan(first, second)
     assert ternarize(x, y) == expected_ternarize(first, second)
 
 
@@ -229,32 +226,34 @@ def projection_pairs(draw, size):
 
 class TestTernarization:
     @PROPERTY
-    @given(projection_pairs(60), st.sampled_from((1, 2, 3, 5, 2**15)))
-    def test_against_sequential_scan_small_blocks(self, pair, block):
-        # Blocks of a few positions put many pairs across block boundaries.
-        with mock.patch.object(threeiet, "_SCAN_BLOCK", block):
-            check_scan(*pair)
+    @given(projection_pairs(60))
+    def test_against_sequential_scan(self, pair):
+        check_ternarize(*pair)
 
     @LONG
     @given(st.integers(0, 2**32 - 1), st.sampled_from((2**15, 2**16)),
            st.integers(-3, 3), st.integers(-3, 3))
-    def test_pairs_across_block_boundaries(self, seed, boundary, cut, flip_at):
+    def test_long_pairs_cut_or_flipped(self, seed, boundary, cut, flip_at):
         rng = random.Random(seed)
         word = Word("".join(rng.choice("AABCC") for _ in range(boundary + 4)), TERNARY)
         first, second = SPLIT_B01(word).text, SPLIT_B10(word).text
-        # Cut the pair, or flip one bit, near the block boundary `boundary`.
-        check_scan(first[: boundary + cut], second[: boundary + cut])
+        # Cut the pair, or flip one bit, near position `boundary`.
+        check_ternarize(first[: boundary + cut], second[: boundary + cut])
         if rng.random() < 0.5:
             first = flip(first, boundary + flip_at)
         else:
             second = flip(second, boundary + flip_at)
-        check_scan(first, second)
+        check_ternarize(first, second)
 
     def test_reasons(self):
-        assert _scan("001", "011") == NotAmicable(2, "pair (0,1) not followed by (1,0)")
-        assert _scan("0110", "0010") == NotAmicable(1, "pair (1,0) matches no letter image")
-        assert _scan("01", "10") == ("B", 2)
-        assert _scan("000", "001") == ("AA", 2)
+        def reason(first, second):
+            return ternarize(Word(first, BINARY), Word(second, BINARY))
+
+        assert reason("001", "011") == NotAmicable(2, "pair (0,1) not followed by (1,0)")
+        assert reason("0110", "0010") == NotAmicable(1, "pair (1,0) matches no letter image")
+        assert reason("01", "10") == Word("B", TERNARY)
+        assert reason("000", "001") == NotAmicable(2, "dangling unmatched tail")
+        assert reason("0101", "011") == NotAmicable(3, "length mismatch")
 
 
 def test_peak_memory_of_the_abmp_certificates():

@@ -199,10 +199,12 @@ class TestIndex:
         assert code == 2 and "exactly one" in err
 
     def test_oracle_guard(self, capsys):
-        code, _, err = run(capsys, "index", "--kind", "characteristic",
-                           "--cf", "0,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1",
-                           "-N", "6000", "--oracle")
-        assert code == 2 and "oracle" in err
+        code, out, err = run(capsys, "index", "--kind", "characteristic",
+                             "--cf", "0,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1",
+                             "-N", "6000", "--oracle")
+        # refused before the runs engine runs, so nothing is printed
+        assert (code, out) == (2, "")
+        assert err == "error: word of length 6000 exceeds the oracle guard (5000)\n"
 
 
 class TestVerify:
@@ -431,6 +433,58 @@ def test_huge_standard_words_never_built(argv, code, stdout):
         assert result.stderr == "error: --level: s_1 has more than 2147483648 letters\n"
     else:
         assert result.stderr == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "abmp", "--alpha", "1/3"),
+    ("verify", "bounds", "--beta", "1/2"),
+    ("experiment", "ell-sweep", "--alpha", "1/3"),
+    ("experiment", "bounds-grid", "--beta", "1/2"),
+    ("experiment", "ell-sweep", "--cf", "0,1,1"),
+    ("experiment", "index-convergence", "--level", "3"),
+])
+def test_flags_no_check_reads_are_refused(argv):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--eps", SILVER_EPS, "--ell", "7/10", "-N", "100"])
+    assert info.value.code == 2
+
+
+ABMP = ("verify", "abmp", "--eps", GOLDEN_EPS, "--ell", "4/5")
+
+
+@pytest.mark.parametrize("nmax, code", [("12", 0), ("32", 0), ("33", 2), ("400", 2)])
+def test_deep_abmp_over_the_memory_limit_exits_2(capsys, monkeypatch, nmax, code):
+    # past --nmax 32 the certificates sort by prefix doubling, at about six
+    # times the bytes a letter
+    monkeypatch.setattr(cli, "_memory_limit", lambda: cli.BASE_BYTES + 50 * 100000)
+    result, out, err = run(capsys, *ABMP, "-N", "100000", "--nmax", nmax)
+    assert result == code
+    if code:
+        assert out == ""
+        assert err == "error: -N: 100000 letters need about 46 MiB, above the 36 MiB memory limit\n"
+    else:
+        assert json.loads(out)["passed"] is True
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+@pytest.mark.parametrize("nmax", ["12", "400"])
+def test_abmp_peak_within_the_estimate(nmax):
+    # The process's own high-water mark, VmHWM: a child's ru_maxrss starts
+    # from its parent's at the fork, which here is the whole pytest process.
+    argv = [*ABMP, "-N", "1000000", "--nmax", nmax]
+    script = (
+        "import sys\n"
+        "from ietlab.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "with open('/proc/self/status', encoding='ascii') as status:\n"
+        "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')),\n"
+        "          file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script, *argv],
+                            capture_output=True, text=True, check=True, timeout=120)
+    estimate = cli._estimated_bytes(cli.build_parser().parse_args(argv), 1000000)
+    assert int(result.stderr) * 1024 <= estimate, (result.stderr, estimate)  # kB of 1024 bytes
 
 
 def test_lengths_over_the_memory_limit_exit_2(capsys, monkeypatch):

@@ -10,7 +10,6 @@ from ietlab.exactreal import QuadraticReal
 from ietlab.sturmian import RotationParams, rotation_word
 from ietlab.threeiet import (
     NotAmicable,
-    _scan,
     bound_check,
     ternarize,
     threeiet_word,
@@ -150,13 +149,10 @@ class TestTernarization:
         assert isinstance(ternarize(W("00"), W("0")), NotAmicable)
 
     def test_dangling_half_pair(self):
-        strict = ternarize(W("00"), W("01"))
-        assert isinstance(strict, NotAmicable)
-        letters, consumed = _scan("00", "01")
-        assert letters == "A" and consumed == 1
+        assert ternarize(W("00"), W("01")) == NotAmicable(1, "dangling unmatched tail")
 
     def test_prefix_variant_still_rejects_mismatch(self):
-        assert isinstance(_scan("11", "00"), NotAmicable)
+        assert ternarize(W("11"), W("00")) == NotAmicable(0, "pair (1,0) matches no letter image")
 
     def test_round_trip_random_parameters(self):
         rng = random.Random(97)
@@ -199,8 +195,7 @@ class TestProjectionReport:
 
     def test_single_letter_roundtrip(self):
         word = threeiet_word(GOLDEN, 1)
-        recombined, consumed = _scan(SPLIT_B01(word).text, SPLIT_B10(word).text)
-        assert recombined == word.text and consumed == 1
+        assert ternarize(SPLIT_B01(word), SPLIT_B10(word)) == word
 
     def test_too_short_for_depth(self):
         with pytest.raises(ParameterError):
