@@ -7,7 +7,8 @@ shift by the period.  The main path finds all maximal segments of exponent
 at least 2 (runs) from their Lyndon roots, as in the Runs Theorem, with
 numpy kernels and no per-position Python loop.  One prefix-doubling pass
 ranks every window of length 2^k, compressing a round by in-place sorts of
-packed uint64 values; its last round orders the suffixes.  Each position
+packed uint64 values; its last round orders the suffixes, or, stopped at a
+depth, the deep windows of ``Word.factor_complexities``.  Each position
 pairs with the end of its longest Lyndon word under the letter order or its
 reverse: contiguous comparisons of the suffix order settle the ends within
 a few positions, and a search over block maxima finds the rest.  Two
@@ -28,11 +29,14 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ParameterError
-from .words import Word
+
+if TYPE_CHECKING:
+    from .words import Word
 
 ORACLE_MAX_LENGTH = 5000
 
@@ -99,20 +103,22 @@ def _letter_labels(codes: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _doubling_ranks(labels: np.ndarray, keep_from: int) -> list[np.ndarray | None]:
+def _doubling_ranks(labels: np.ndarray, keep_from: int, width: int) -> list[np.ndarray | None]:
     """Round k ranks every window text[i:i+2^k] in lexicographic order, with
     end-of-text below every letter, so equal ranks mean equal windows inside
     the text.  Round 0 is labels - 1 for the n + 1 labels of
-    ``_letter_labels``.  Each int32 array ends with a -1 at index n that
-    equals no rank.  Round k+1 ranks (rank at i, rank at i + 2^k) by the key
-    rank * span + next + 1 (next = -1 past the end), below top + 1.  A
-    packed round keeps the key itself; a sorted round replaces it by its
-    dense rank, read off value sorts of (key << pbits) | position.  A round
-    is packed only while its key fits in int32 and the next round's key
-    would still fit with a position in 64 bits.  Doubling stops once all
-    windows differ, so the last round orders the suffixes (an inverse
-    suffix array up to relabelling).  Rounds below ``keep_from`` are None
-    once the next round is built, except the last, which is always kept.
+    ``_letter_labels``, which must be dense (the early stop reads top + 1 as
+    the number of distinct letters).  Each int32 array ends with a -1 at index
+    n that equals no rank.  Round k+1 ranks (rank at i, rank at i + 2^k) by the
+    key rank * span + next + 1 (next = -1 past the end), below top + 1.  A
+    packed round keeps the key itself; a sorted round replaces it by its dense
+    rank, read off value sorts of (key << pbits) | position.  A round is packed
+    only while its key fits in int32 and the next round's key would still fit
+    with a position in 64 bits.  Doubling stops once the windows reach
+    ``width`` letters or all differ; with width n the last round orders the
+    suffixes (an inverse suffix array up to relabelling).  Rounds below
+    ``keep_from`` are None once the next round is built, except the last, which
+    is always kept.
     """
     n = labels.size - 1
     pbits = (n - 1).bit_length()  # positions are below 2^pbits, and n <= 2^pbits
@@ -123,7 +129,7 @@ def _doubling_ranks(labels: np.ndarray, keep_from: int) -> list[np.ndarray | Non
     distinct = top + 1  # counted only when ranks are made dense
     rounds = [rank]
     h = 1
-    while h < n and distinct < n:
+    while h < width and distinct < n:
         span = top + 2
         top = top * span + span - 1  # bound of the key
         key = rank[:n].astype(np.uint64)
@@ -173,6 +179,8 @@ def _doubling_ranks(labels: np.ndarray, keep_from: int) -> list[np.ndarray | Non
             rank[order] = dense  # positions are below 2^63: int64 indices scatter faster
             top = int(dense[-1])
             distinct = top + 1
+            del order, new, dense
+        del key  # this round's temporaries go before the next round's key is built
         rounds.append(rank)
         h *= 2
     return rounds
@@ -384,7 +392,7 @@ def _candidates(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     blocks = np.flatnonzero(np.diff(edges) >= 2)
     labels = _letter_labels(codes)
     m = _packing_width(int(labels.max()))
-    rounds = _doubling_ranks(labels, m.bit_length() - 1)
+    rounds = _doubling_ranks(labels, m.bit_length() - 1, n)
     jj = _lyndon_ends(rounds[-1][:n])
     f = _extensions(rounds, _packed_letters(labels, m), m, jj, forward=True)
     labels[:n] = labels[n - 1 :: -1]

@@ -7,6 +7,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import ParameterError
+from .repetitions import _doubling_ranks, _letter_labels
 
 BINARY = ("0", "1")
 TERNARY = ("A", "B", "C")
@@ -106,12 +107,12 @@ class Word:
         letters of the end each have a distinct prefix holding the sentinel,
         so p(n) = c(n) - n + 2.
 
-        A window of more than 64 bits is cut into chunks of 32 // b letters.
-        The windows are ordered by prefix doubling from the codes of their
-        first chunk: the rank of a window of w + s letters, s <= w, is the
-        rank of the pair (rank at i, rank at i + s) of w-letter windows, and
-        the all-sentinel window past the end ranks 0.  A neighbour pair's
-        common prefix then ends in the first chunk whose codes differ.
+        Windows of more than 64 bits are cut into chunks of 32 // b letters
+        and ordered by the last round, the only one kept, of the runs
+        engine's ``_doubling_ranks`` over the dense ``_letter_labels`` of the
+        letter indices, stopped at 2^K >= depth letters: any lexicographic
+        order keeps the windows with a common prefix adjacent.  A neighbour
+        pair's common prefix then ends in the first chunk whose codes differ.
         """
         text = self.text
         if not 0 <= depth <= len(text):
@@ -125,22 +126,13 @@ class Word:
         bits = len(self.alphabet).bit_length()
         chunk = depth if depth * bits <= 64 else 32 // bits
         spans = [(first, min(depth, first + chunk)) for first in range(0, depth, chunk)]
-        key = _window_codes(letters, slice(0, len(text)), len(text), *spans[0], bits)
         if len(spans) == 1:
+            key = _window_codes(letters, slice(0, len(text)), len(text), 0, depth, bits)
             del letters  # the codes hold every letter needed from here on
             key.sort()
             codes = [key[_first_of_each_value(key)]]
         else:
-            rank = key.astype(np.uint64)  # below 2**32
-            width = chunk
-            while width < depth:
-                step = min(width, depth - width)
-                later = np.zeros_like(rank)
-                later[:-step] = rank[step:]
-                # below 2**64 while ranks are below 2**32
-                _, rank = np.unique(rank * (int(rank.max()) + 1) + later, return_inverse=True)
-                rank = rank.astype(np.uint64) + 1
-                width += step
+            rank = _doubling_ranks(_letter_labels(letters[: len(text)]), depth, depth)[-1][:-1]
             order = np.argsort(rank)
             starts = order[_first_of_each_value(rank[order])]
             codes = (_window_codes(letters, starts, len(starts), first, last, bits)

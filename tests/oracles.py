@@ -6,6 +6,7 @@ quantities are recomputed with direct scans.
 """
 
 import itertools
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,16 @@ from ietlab.threeiet import NotAmicable
 from ietlab.words import BINARY, BalanceCheck, Morphism, Word
 
 mp.dps = 60
+
+# Source of `peak_kib()` for a child process's script: its own high-water
+# mark, VmHWM from /proc, in KiB.  A child's ru_maxrss starts from its
+# parent's at the fork, which in a test is the whole pytest process.
+PEAK_KIB_SOURCE = (
+    "def peak_kib():\n"
+    "    with open('/proc/self/status', encoding='ascii') as status:\n"
+    "        return int(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
+)
+HAS_PROC_STATUS = os.path.exists("/proc/self/status")
 
 
 def mp_value(x):

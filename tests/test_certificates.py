@@ -13,7 +13,14 @@ from ietlab.errors import ParameterError
 from ietlab.threeiet import NotAmicable, ternarize
 from ietlab.words import BINARY, SPLIT_B01, SPLIT_B10, TERNARY, Word, is_balanced
 
-from oracles import fib_char_prefix, factors, sequential_is_balanced, sequential_scan
+from oracles import (
+    HAS_PROC_STATUS,
+    PEAK_KIB_SOURCE,
+    factors,
+    fib_char_prefix,
+    sequential_is_balanced,
+    sequential_scan,
+)
 
 PROPERTY = settings(max_examples=200, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -157,6 +164,14 @@ class TestFactorComplexities:
             for depth in sorted({1, 2, 5, len(text) // 2, len(text) - 1, len(text)}):
                 assert word.factor_complexities(depth) == expected_complexities(word, depth)
 
+    def test_deep_windows_over_unused_letters(self):
+        # 10 letters of 7 bits take the doubling path; its labels must be
+        # dense in the letters present, not the alphabet indices.
+        assert Word("0" * 10, HUNDRED).factor_complexities(10) == [1] * 10
+        word = Word("ab" * 30 + "c" + "ba" * 20, HUNDRED)
+        for depth in (10, 50, len(word)):
+            assert word.factor_complexities(depth) == expected_complexities(word, depth)
+
     def test_empty_word(self):
         assert Word("", BINARY).factor_complexities(0) == []
         with pytest.raises(ParameterError):
@@ -256,17 +271,17 @@ class TestTernarization:
         assert reason("0101", "011") == NotAmicable(3, "length mismatch")
 
 
+@pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs Linux /proc")
 def test_peak_memory_of_the_abmp_certificates():
-    script = (
-        "import resource\n"
+    script = PEAK_KIB_SOURCE + (
         "from ietlab.exactreal import QuadraticReal\n"
         "from ietlab.threeiet import validate_params, verify_projections\n"
         "params = validate_params(QuadraticReal(-1, 1, 5, 2), QuadraticReal(403, 0, 0, 500),\n"
         "                         QuadraticReal(16, 0, 0, 125))\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "before = peak_kib()\n"
         "assert verify_projections(params, 200000, 12).passed\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        "print(peak_kib() - before)\n"
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          check=True, timeout=120)
-    assert int(out.stdout) < 8 * 1024, out.stdout  # ru_maxrss is in KiB on Linux
+    assert int(out.stdout) < 8 * 1024, out.stdout

@@ -14,6 +14,8 @@ from ietlab import cli
 from ietlab.cli import main
 from ietlab.exactreal import _squarefree_split
 
+from oracles import HAS_PROC_STATUS, PEAK_KIB_SOURCE
+
 GOLDEN_EPS = "(-1+1*sqrt(5))/2"
 SILVER_EPS = "(-1+1*sqrt(2))/1"
 FORTY_TWOS = "0" + ",2" * 40
@@ -153,6 +155,7 @@ class TestIndex:
         assert re.fullmatch(r"error: --file: 1000 letters need about 32 MiB, "
                             r"above the 32 MiB memory limit\n", err)
 
+    @pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs Linux /proc")
     def test_file_tail_is_never_read(self, tmp_path):
         # the word is on the first line; the 50 MB after it must not raise the peak
         path = tmp_path / "words.txt"
@@ -160,11 +163,11 @@ class TestIndex:
             handle.write("abaab\n")
             for _ in range(50):
                 handle.write(("ab" * 49 + "\n") * 10000)
-        script = (
-            "import resource, sys\n"
+        script = PEAK_KIB_SOURCE + (
+            "import sys\n"
             "from ietlab.cli import main\n"
             "code = main(sys.argv[1:])\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            "print(peak_kib(), file=sys.stderr)\n"
             "sys.exit(code)\n"
         )
 
@@ -176,7 +179,7 @@ class TestIndex:
         file_out, file_peak = peak("--file", str(path))
         word_out, word_peak = peak("--word", "abaab")
         assert file_out == word_out
-        assert file_peak - word_peak <= 8 * 1024, (file_peak, word_peak)  # KiB on Linux
+        assert file_peak - word_peak <= 8 * 1024, (file_peak, word_peak)
 
     @pytest.mark.parametrize("content", ["abaab\n\xe9\n", "\r\n abaab\rjunk\n"])
     def test_file_reads_only_up_to_the_word(self, capsys, tmp_path, content):
@@ -454,31 +457,32 @@ ABMP = ("verify", "abmp", "--eps", GOLDEN_EPS, "--ell", "4/5")
 
 @pytest.mark.parametrize("nmax, code", [("12", 0), ("32", 0), ("33", 2), ("400", 2)])
 def test_deep_abmp_over_the_memory_limit_exits_2(capsys, monkeypatch, nmax, code):
-    # past --nmax 32 the certificates sort by prefix doubling, at about six
+    # past --nmax 32 the certificates sort by prefix doubling, at about three
     # times the bytes a letter
     monkeypatch.setattr(cli, "_memory_limit", lambda: cli.BASE_BYTES + 50 * 100000)
     result, out, err = run(capsys, *ABMP, "-N", "100000", "--nmax", nmax)
     assert result == code
     if code:
         assert out == ""
-        assert err == "error: -N: 100000 letters need about 46 MiB, above the 36 MiB memory limit\n"
+        assert err == "error: -N: 100000 letters need about 38 MiB, above the 36 MiB memory limit\n"
     else:
         assert json.loads(out)["passed"] is True
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
-@pytest.mark.parametrize("nmax", ["12", "400"])
-def test_abmp_peak_within_the_estimate(nmax):
-    # The process's own high-water mark, VmHWM: a child's ru_maxrss starts
-    # from its parent's at the fork, which here is the whole pytest process.
-    argv = [*ABMP, "-N", "1000000", "--nmax", nmax]
-    script = (
+@pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs Linux /proc")
+@pytest.mark.parametrize("eps, ell, nmax", [
+    *(pytest.param(GOLDEN_EPS, "4/5", nmax, id=nmax) for nmax in ("12", "33", "400")),
+    *(pytest.param(SILVER_EPS, "3/5", nmax, id=f"silver-{nmax}") for nmax in ("12", "33", "400")),
+])
+def test_abmp_peak_within_the_estimate(eps, ell, nmax):
+    # The process's own high-water mark, VmHWM, not ru_maxrss.  ell 3/5 gives
+    # sqrt(2) - 1 projections of 1.67N letters, the golden word 1.25N.
+    argv = ["verify", "abmp", "--eps", eps, "--ell", ell, "-N", "1000000", "--nmax", nmax]
+    script = PEAK_KIB_SOURCE + (
         "import sys\n"
         "from ietlab.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "with open('/proc/self/status', encoding='ascii') as status:\n"
-        "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')),\n"
-        "          file=sys.stderr)\n"
+        "print(peak_kib(), file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
     result = subprocess.run([sys.executable, "-c", script, *argv],

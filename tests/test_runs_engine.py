@@ -28,7 +28,14 @@ from ietlab.sturmian import RotationParams, characteristic_prefix, rotation_word
 from ietlab.threeiet import threeiet_word, validate_params
 from ietlab.words import Word
 
-from oracles import fractional_best, naive_index, naive_runs, vtm_prefix
+from oracles import (
+    HAS_PROC_STATUS,
+    PEAK_KIB_SOURCE,
+    fractional_best,
+    naive_index,
+    naive_runs,
+    vtm_prefix,
+)
 
 PROPERTY = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -72,7 +79,7 @@ def test_occurrence_candidates_hold_the_sweep_best(text):
     # the proof does not need a square-free word, so words with runs check it too
     labels = _letter_labels(np.frombuffer(text.encode("ascii"), dtype=np.uint8))
     m = _packing_width(int(labels.max()))
-    rounds = _doubling_ranks(labels, m.bit_length() - 1)
+    rounds = _doubling_ranks(labels, m.bit_length() - 1, len(text))
     assert _best_extension(*_occurrence_candidates(labels, m, rounds)) == fractional_best(text)
 
 
@@ -199,18 +206,18 @@ def test_exact_winner_between_close_ratios():
         assert _best_extension(start, end, period) == (winner[1] - winner[0], winner[2], winner[0])
 
 
+@pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs Linux /proc")
 def test_peak_memory_of_a_long_characteristic_prefix():
-    script = (
-        "import resource, sys\n"
+    script = PEAK_KIB_SOURCE + (
         "from ietlab.exactreal import CFExpansion\n"
         "from ietlab.repetitions import word_index_estimate\n"
         "from ietlab.sturmian import characteristic_prefix\n"
         "word = characteristic_prefix(CFExpansion.from_quotients([1, 2, 3, 4] * 10), 200000)\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "before = peak_kib()\n"
         "word_index_estimate(word)\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        "print(peak_kib() - before)\n"
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          check=True, timeout=120)
-    assert int(out.stdout) < 250 * 1024, out.stdout  # ru_maxrss is in KiB on Linux
+    assert int(out.stdout) < 250 * 1024, out.stdout
 

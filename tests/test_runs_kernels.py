@@ -99,12 +99,36 @@ def test_ends_of_rise_then_fall():
     # a^m b^m: ranks rise along the a's and fall along the b's
     m = 2**15
     codes = np.frombuffer(b"a" * m + b"b" * m, dtype=np.uint8)
-    check_ends(_doubling_ranks(_letter_labels(codes), 0)[-1][: 2 * m])
+    check_ends(_doubling_ranks(_letter_labels(codes), 0, 2 * m)[-1][: 2 * m])
 
 
 # alphabet sizes whose labels take 1..7 bits, packed 64, 32, 16 and 8 to a word
 ALPHABETS = {1: 64, 2: 32, 3: 32, 4: 16, 8: 16, 16: 8, 32: 8, 64: 8, 100: 8}
 LETTERS = bytes(range(20, 120)).decode("ascii")
+
+
+@ENDS
+@given(st.data())
+def test_doubling_stops_at_the_width(data):
+    # The last round ranks the sentinel-padded 2^K-letter slices, 2^K the
+    # first power of two >= width, or less once every window differs.
+    alphabet = data.draw(st.sampled_from([LETTERS[:k] for k in range(1, 6)] + [LETTERS]))
+    text = data.draw(st.text(alphabet, min_size=1, max_size=80))
+    n = len(text)
+    k = data.draw(st.integers(1, 7))
+    width = data.draw(st.sampled_from([1, 2, 3, 2**k - 1, 2**k, 2**k + 1, n])
+                      .filter(lambda w: w <= n))
+    rounds = _doubling_ranks(_letter_labels(np.frombuffer(text.encode("ascii"), np.uint8)),
+                             0, width)
+    last = rounds[-1][:n].tolist()
+    size = 2 ** (len(rounds) - 1)
+    assert size < 2 * width
+    slices = [text[i : i + size].ljust(size, "\0") for i in range(n)]
+    if size < width:
+        assert len(set(slices)) == n
+    order = sorted(range(n), key=slices.__getitem__)
+    for a, b in zip(order, order[1:]):
+        assert last[a] < last[b] if slices[a] < slices[b] else last[a] == last[b]
 
 
 def test_packing_widths():
@@ -117,7 +141,7 @@ def check_extensions(text, jj):
     n = len(text)
     labels = _letter_labels(np.frombuffer(text.encode("ascii"), dtype=np.uint8))
     m = _packing_width(int(labels.max()))
-    rounds = _doubling_ranks(labels, m.bit_length() - 1)
+    rounds = _doubling_ranks(labels, m.bit_length() - 1, n)
     jj = np.asarray(jj, dtype=np.int32)
     forward = _extensions(rounds, _packed_letters(labels, m), m, jj, forward=True)
     labels[:n] = labels[n - 1 :: -1]
@@ -176,7 +200,7 @@ def suffix_less(text, a, b):
 def check_long_word(text, key_bits, golden):
     n = len(text)
     codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    rounds = _doubling_ranks(_letter_labels(codes), 0)
+    rounds = _doubling_ranks(_letter_labels(codes), 0, n)
     # the last round's key bound, from the dense ranks before it, and positions
     top = int(rounds[-2][:n].max())
     assert ((top + 1) * (top + 2) - 1).bit_length() + (n - 1).bit_length() == key_bits
