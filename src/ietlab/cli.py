@@ -129,10 +129,10 @@ def _threeiet_params(args, kind: str) -> ThreeIetParams:
 # `index` on the silver 3iet word peaked at 138, 490 and <= 1291 MiB against
 # estimates of 154, 550 and 1405.  `verify abmp` sorts the windows of two
 # projections of under 2N letters each: under 12 bytes a projection letter
-# while --nmax 2-bit letters fit 64 bits, and under 30 past that (prefix
-# doubling).  At --nmax 400 it peaked at 67 and 79 MiB for N = 1e6 (golden
+# while --nmax 2-bit letters fit 64 bits, and under 25 past that (prefix
+# doubling).  At --nmax 400 it peaked at 61 and 70 MiB for N = 1e6 (golden
 # word, ell 4/5: 1.25N projection letters; sqrt(2) - 1, ell 3/5: 1.67N)
-# against an estimate of 93, and at 169 and 213 MiB for N = 4e6 against 276.
+# against an estimate of 84, and at 149 and 188 MiB for N = 4e6 against 238.
 BASE_BYTES = 32 * 2**20
 ABMP_DEPTH = 10  # the default --nmax of `verify abmp`
 
@@ -141,7 +141,7 @@ def _estimated_bytes(args, n_letters: int) -> int:
     """Estimated peak bytes of the command in ``args`` on n_letters letters."""
     check = getattr(args, "check", None)
     if check == "abmp":
-        per_projection_letter = 12 if (args.nmax or ABMP_DEPTH) <= 32 else 32
+        per_projection_letter = 12 if (args.nmax or ABMP_DEPTH) <= 32 else 27
         return BASE_BYTES + per_projection_letter * 2 * n_letters
     if args.command == "generate" or check == "blocks":
         return BASE_BYTES + 16 * n_letters

@@ -86,11 +86,18 @@ class IndexReport:
 # runs engine: doubling ranks, binary-lifting LCE, Lyndon roots
 # ---------------------------------------------------------------------------
 
+# Entries per slice of the chunked passes below: their temporaries take
+# 512 KiB instead of 8 bytes a position.
+_CHUNK = 1 << 16
+
+
 def _packed_sort(values: np.ndarray, pbits: int) -> None:
     """Sort the uint64 values (value << pbits) | position in place; the
     caller guarantees that every value fits with its position in 64 bits."""
     values <<= pbits
-    values |= np.arange(values.size, dtype=np.uint64)
+    for first in range(0, values.size, _CHUNK):
+        part = values[first : first + _CHUNK]
+        part |= np.arange(first, first + part.size, dtype=np.uint64)
     values.sort()
 
 
@@ -156,7 +163,11 @@ def _doubling_ranks(labels: np.ndarray, keep_from: int, width: int) -> list[np.n
             # equal keys are ordered.
             if top.bit_length() + pbits <= 64:
                 _packed_sort(key, pbits)
-                new = (key[1:] ^ key[:-1]) > mask
+                new = np.empty(n - 1, dtype=bool)
+                for first in range(0, n - 1, _CHUNK):
+                    pair = key[first : first + _CHUNK + 1]
+                    np.greater(pair[1:] ^ pair[:-1], mask, out=new[first : first + _CHUNK])
+                del pair  # a view that would keep this round's key alive
                 order = key
                 order &= mask
                 order = order.view(np.int64)
@@ -175,11 +186,13 @@ def _doubling_ranks(labels: np.ndarray, keep_from: int, width: int) -> list[np.n
                 new = ordered[1:] != ordered[:-1]
                 del ordered
             dense = np.zeros(n, dtype=np.int32)
-            np.cumsum(new, out=dense[1:])
+            dense[1:] = new
+            del new
+            np.cumsum(dense, out=dense)  # in place: a cumsum of the bools would copy them to int32
             rank[order] = dense  # positions are below 2^63: int64 indices scatter faster
             top = int(dense[-1])
             distinct = top + 1
-            del order, new, dense
+            del order, dense
         del key  # this round's temporaries go before the next round's key is built
         rounds.append(rank)
         h *= 2

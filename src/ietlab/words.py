@@ -175,12 +175,19 @@ def _first_of_each_value(ordered: np.ndarray) -> np.ndarray:
 
 
 class Morphism:
-    """A monoid morphism determined by nonempty letter images."""
+    """A monoid morphism determined by nonempty letter images.
 
-    __slots__ = ("source", "target", "images", "_table")
+    An image is built with one ``bytes.translate``, which writes the
+    one-letter images and marks each letter with a longer image by its own
+    placeholder byte 0x80 + (its index in the source), then one
+    ``bytes.replace`` per longer image.  Words and images are ASCII, so no
+    replacement can create or touch a placeholder.
+    """
+
+    __slots__ = ("source", "target", "images", "_table", "_long")
 
     def __init__(self, source: Iterable[str], target: Iterable[str], images: dict[str, str]):
-        self.source = tuple(source)
+        self.source = _checked_alphabet(source)
         self.target = _checked_alphabet(target)
         target_set = set(self.target)
         for letter in self.source:
@@ -190,14 +197,23 @@ class Morphism:
             if set(image) - target_set:
                 raise ParameterError(f"image of {letter!r} leaves the target alphabet")
         self.images = {letter: images[letter] for letter in self.source}
-        self._table = str.maketrans(self.images)
+        ordered = self.images.values()
+        self._table = bytes.maketrans(
+            "".join(self.source).encode("ascii"),
+            bytes(ord(image) if len(image) == 1 else 0x80 + i for i, image in enumerate(ordered)),
+        )
+        self._long = [(bytes([0x80 + i]), image.encode("ascii"))
+                      for i, image in enumerate(ordered) if len(image) > 1]
 
     def __call__(self, word: Word) -> Word:
         # A word's letters lie in its alphabet; scan them only if it is wider.
         source = set(self.source)
         if not source.issuperset(word.alphabet) and not source.issuperset(word.text):
             raise ParameterError("word contains letters outside the source alphabet")
-        return Word._trusted(word.text.translate(self._table), self.target)
+        image = word.text.encode("ascii").translate(self._table)
+        for placeholder, replacement in self._long:
+            image = image.replace(placeholder, replacement)
+        return Word._trusted(image.decode("ascii"), self.target)
 
     def __repr__(self) -> str:
         rules = ", ".join(f"{a}->{img}" for a, img in self.images.items())

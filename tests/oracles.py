@@ -366,6 +366,11 @@ def vtm_prefix(n_letters):
 EXCHANGE_01 = Morphism(BINARY, BINARY, {"0": "1", "1": "0"})
 
 
+def naive_image(images, text):
+    """The image of ``text`` under a morphism, one letter at a time."""
+    return "".join(images[c] for c in text)
+
+
 def letter_permutation(word, mapping):
     """Relabel letters by a permutation of the alphabet."""
     if sorted(mapping) != sorted(mapping.values()) or set(mapping) != set(word.alphabet):

@@ -457,14 +457,14 @@ ABMP = ("verify", "abmp", "--eps", GOLDEN_EPS, "--ell", "4/5")
 
 @pytest.mark.parametrize("nmax, code", [("12", 0), ("32", 0), ("33", 2), ("400", 2)])
 def test_deep_abmp_over_the_memory_limit_exits_2(capsys, monkeypatch, nmax, code):
-    # past --nmax 32 the certificates sort by prefix doubling, at about three
-    # times the bytes a letter
+    # past --nmax 32 the certificates sort by prefix doubling, at more than
+    # twice the bytes a letter
     monkeypatch.setattr(cli, "_memory_limit", lambda: cli.BASE_BYTES + 50 * 100000)
     result, out, err = run(capsys, *ABMP, "-N", "100000", "--nmax", nmax)
     assert result == code
     if code:
         assert out == ""
-        assert err == "error: -N: 100000 letters need about 38 MiB, above the 36 MiB memory limit\n"
+        assert err == "error: -N: 100000 letters need about 37 MiB, above the 36 MiB memory limit\n"
     else:
         assert json.loads(out)["passed"] is True
 

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from ietlab.errors import ParameterError
+from ietlab.exactreal import QuadraticReal
+from ietlab.threeiet import threeiet_word, validate_params
 from ietlab.words import (
     BINARY,
     SPLIT_B01,
@@ -22,8 +24,11 @@ from oracles import (
     factors,
     fib_char_prefix,
     letter_permutation,
+    naive_image,
     shift,
 )
+
+HUNDRED = tuple(chr(code) for code in range(28, 128))
 
 
 def test_word_validation():
@@ -98,6 +103,75 @@ class TestProjections:
     def test_morphism_requires_nonempty_images(self):
         with pytest.raises(ParameterError):
             Morphism(BINARY, BINARY, {"0": "1", "1": ""})
+
+    def test_source_alphabet_is_checked(self):
+        # Sources of several-letter, non-ASCII or repeated letters are refused.
+        with pytest.raises(ParameterError):
+            Morphism(("AB",), BINARY, {"AB": "0"})
+        with pytest.raises(ParameterError):
+            Morphism(("\u00e9",), BINARY, {"\u00e9": "0"})
+        with pytest.raises(ParameterError):
+            Morphism(("A", "A"), BINARY, {"A": "0"})
+
+
+def check_against_oracle(morphism, rng, max_len):
+    """Compare the morphism's images with the naive oracle on random words,
+    the empty word included."""
+    for length in [0] + [rng.randint(1, max_len) for _ in range(20)]:
+        text = "".join(rng.choice(morphism.source) for _ in range(length))
+        image = morphism(Word(text, morphism.source))
+        assert image.text == naive_image(morphism.images, text)
+        assert image.alphabet == morphism.target
+
+
+def random_morphism(rng, source, target, longest):
+    images = {
+        letter: "".join(rng.choice(target) for _ in range(rng.randint(1, longest)))
+        for letter in source
+    }
+    return Morphism(source, target, images)
+
+
+class TestMorphismOracle:
+    def test_overlapping_alphabets(self):
+        rng = random.Random(53)
+        check_against_oracle(Morphism(BINARY, BINARY, {"0": "01", "1": "0"}), rng, 60)
+        check_against_oracle(Morphism(("A", "B"), ("A", "B"), {"A": "AB", "B": "A"}), rng, 60)
+        for _ in range(50):
+            letters = "".join(rng.sample("ABCDE", rng.randint(1, 5)))
+            source = tuple(rng.sample(letters, rng.randint(1, len(letters))))
+            target = tuple(rng.sample(letters, rng.randint(1, len(letters))))
+            check_against_oracle(random_morphism(rng, source, target, 8), rng, 40)
+
+    def test_one_letter_images(self):
+        rng = random.Random(59)
+        for size in (1, 2, 3, 10, len(HUNDRED)):
+            source = HUNDRED[:size]
+            target = tuple(rng.sample(source, size))
+            check_against_oracle(Morphism(source, source, dict(zip(source, target))), rng, 80)
+
+    def test_images_of_up_to_eight_letters(self):
+        rng = random.Random(61)
+        for _ in range(50):
+            check_against_oracle(random_morphism(rng, TERNARY, BINARY, 8), rng, 40)
+
+    def test_hundred_letter_source(self):
+        # Placeholder bytes run up to 0x80 + 99.
+        rng = random.Random(67)
+        for longest in (1, 2, 8):
+            check_against_oracle(random_morphism(rng, HUNDRED, HUNDRED, longest), rng, 300)
+        binary = {letter: "0" + format(i, "b") for i, letter in enumerate(HUNDRED)}
+        every_long = Morphism(HUNDRED, BINARY, binary)
+        check_against_oracle(every_long, rng, 300)
+        assert every_long(Word(HUNDRED[-1], HUNDRED)).text == "01100011"
+
+    def test_projections_of_a_long_three_iet_word(self):
+        params = validate_params(
+            QuadraticReal(-1, 1, 5, 2), QuadraticReal(4, 0, 0, 5), QuadraticReal(0)
+        )
+        word = threeiet_word(params, 200_000)
+        for morphism in (SPLIT_B01, SPLIT_B10, rotation_coding_morphism(3)):
+            assert morphism(word).text == naive_image(morphism.images, word.text)
 
 
 class TestShifts:
