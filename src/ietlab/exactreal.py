@@ -278,21 +278,6 @@ class QuadraticReal:
 
     # -- rendering -------------------------------------------------------------
 
-    def __float__(self) -> float:
-        """Nearest float; for |self| <= 1 it lies within 2^-52 of self.
-
-        Proof of the bound: int / int is correctly rounded.  For a rational
-        that is the whole error, at most half an ulp of a value <= 1, which
-        is 2^-53.  Otherwise root = floor(|q|*sqrt(d)*2^64) is exact integer
-        arithmetic, so t / (r * 2^64) lies within 2^-64 of self, and rounding
-        it adds at most 2^-53; 2^-64 + 2^-53 < 2^-52.
-        """
-        if self.q == 0:
-            return self.p / self.r
-        root = math.isqrt(self.q * self.q * self.d << 128)
-        t = (self.p << 64) + (root if self.q > 0 else -root)
-        return t / (self.r << 64)
-
     def __str__(self) -> str:
         if self.q == 0:
             return f"{self.p}/{self.r}" if self.r != 1 else str(self.p)

@@ -58,8 +58,9 @@ class SturmianParams:
         _require_unit_interval(self.x0, "x0", closed_left=True)
 
 
-# Longest prefix the orbit coder writes.  A 3iet letter takes at most two
-# rotation steps, so every rotation index stays below 2**32 (see _orbit_word).
+# Longest prefix the orbit coder writes, part of the CLI contract (-N).  A
+# 3iet letter takes at most two rotation steps, so rotation indices stay
+# below 2**32, far inside the 2**64 the fixed-point proof needs (_orbit_word).
 MAX_LETTERS = 2**31
 # Rotation indices per numpy block.
 _BLOCK = 2**15
@@ -93,29 +94,23 @@ def _orbit_word(
     right end being 1; the interval of y is the first whose right end
     exceeds it, and the letter None deletes that interval's visits.
 
-    Each block of indices is coded in float64 and every y_m the float filter
-    cannot certify is coded exactly.  The filter's proof: x0, alpha and the
-    cuts lie in [0, 1] and convert within 2^-52 (``QuadraticReal.__float__``);
-    m < 2**53 is exact and a float operation adds at most 2^-53 relative
-    error.  So s = fl(fl(x0) + fl(m*fl(alpha))) differs from x0 + m*alpha by
-    at most 2^-52 (x0) + m*2^-52 (alpha) + m*2^-53 (product)
-    + (m+1)*2^-53 (sum) = (4m+3)*2^-53 < E = (m+1)*2^-51.  s - floor(s) is
-    exact.  If y = s - floor(s) is more than E from 0 and from 1, then s is
-    more than E from every integer, so floor(s) = floor(x0 + m*alpha) and
-    |y - y_m| <= E.  A float cut is within 2^-52 of its exact cut, so a y
-    more than delta = (m+2)*2^-50 >= E + 2^-52 from 0, from 1 and from every
-    float cut lies on the same side of every exact cut as y_m.  Rounding is
-    monotone, so a float difference above delta is an exact difference
-    above delta.  Float cuts keep the exact order, so the two cuts around y
-    (0 and 1 included) are the nearest ones.  Indices stay below 2**32
-    (delta < 2^-17), which keeps every step of the proof valid.
+    Each block of indices is coded in 64-bit fixed point, and every y_m the
+    fixed-point value cannot place is coded exactly.  With X, A and E_c the
+    floors of 2^64 times x0, alpha and each cut c < 1, Y_m = (X + m*A) mod
+    2^64 is exact uint64 arithmetic.  X + m*A <= 2^64*(x0 + m*alpha)
+    < X + m*A + m + 1, so Y_m <= 2^64*y_m < Y_m + m + 1 unless a multiple of
+    2^64 lies in (Y_m, Y_m + m].  So Y_m places y_m on the correct side of
+    every cut unless (E_c - Y_m) mod 2^64 <= m for some c, the cut 0 = 1
+    counting as E = 0.  A block tests against its largest index, which only
+    adds exact rechecks.
     """
     require_length(n_letters)
     ends = tuple(end for end, _ in cuts)
-    upper = np.array([float(end) for end in ends])
-    lower = np.concatenate(([0.0], upper[:-1]))
+    # E_c of the cuts c < 1, in order, then E = 0 for the cut 0 = 1
+    fixed = np.array([(end * 2**64).floor() for end in ends[:-1]] + [0], dtype=np.uint64)
     codes = np.array([ord(letter or "\0") for _, letter in cuts], dtype=np.uint8)
-    x, a = float(x0), float(alpha)
+    x = np.uint64((x0 * 2**64).floor())
+    a = np.uint64((alpha * 2**64).floor())
     out = np.empty(n_letters, dtype=np.uint8)
     filled = m = 0
     while filled < n_letters:
@@ -123,14 +118,15 @@ def _orbit_word(
         size = min(_BLOCK, n_letters - filled)
         if m + size > 2 * MAX_LETTERS:
             raise ParameterError("the orbit needs rotation indices beyond 2**32")
-        y = np.arange(m, m + size, dtype=np.float64)
+        y = np.arange(m, m + size, dtype=np.uint64)
         y *= a
         y += x
-        y -= np.floor(y)
-        piece = np.searchsorted(upper, y, side="right")
-        delta = (m + size + 1) * 2.0**-50
-        near = np.flatnonzero((y - lower[piece] <= delta) | (upper[piece] - y <= delta))
-        for j in near.tolist():
+        piece = np.searchsorted(fixed[:-1], y, side="right")
+        last = np.uint64(m + size - 1)
+        near = np.zeros(size, dtype=bool)
+        for cut in fixed:
+            near |= cut - y <= last
+        for j in np.flatnonzero(near).tolist():
             piece[j] = _exact_piece(x0, alpha, m + j, ends)
         letters = codes[piece]
         letters = letters[letters != 0]

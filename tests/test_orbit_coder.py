@@ -18,6 +18,8 @@ from oracles import rotation_pieces, sequential_orbit_word, threeiet_pieces
 SQRT2_MINUS_1 = QuadraticReal(-1, 1, 2, 1)
 PHI_MINUS_1 = QuadraticReal(-1, 1, 5, 2)
 GOLDEN = validate_params(PHI_MINUS_1, QuadraticReal(4, 0, 0, 5), QuadraticReal(0))
+HALF, THIRD = QuadraticReal(1, 0, 0, 2), QuadraticReal(1, 0, 0, 3)
+BELOW_FIXED_POINT = QuadraticReal(1, 0, 0, 2**70)  # 2^-70, finer than 2^-64
 
 
 @pytest.fixture
@@ -44,6 +46,33 @@ class TestExactTies:
         expected = sequential_orbit_word(x0, rotation_pieces(SQRT2_MINUS_1, beta), 500)
         assert word.text == expected
 
+    @pytest.mark.parametrize(
+        "x0, beta, letter",
+        [
+            (HALF, HALF, "1"),  # a dyadic cut hit exactly: Y_0 = E_beta
+            (THIRD, THIRD + BELOW_FIXED_POINT, "0"),  # beta less than 2^-64 above y_0
+        ],
+        ids=["dyadic_cut_hit", "cut_just_above_start"],
+    )
+    def test_rotation_tie_finer_than_fixed_point(self, rechecked, x0, beta, letter):
+        word = rotation_word(RotationParams(SQRT2_MINUS_1, beta, x0), 500)
+        assert 0 in rechecked
+        assert word.text[0] == letter
+        expected = sequential_orbit_word(x0, rotation_pieces(SQRT2_MINUS_1, beta), 500)
+        assert word.text == expected
+
+    @pytest.mark.parametrize(
+        "x0",
+        [
+            1 - BELOW_FIXED_POINT,  # X = 2^64 - 1, so X + A wraps past 2^64
+            1 - SQRT2_MINUS_1 + BELOW_FIXED_POINT,  # y_1 = 2^-70 but X + A < 2^64
+        ],
+        ids=["start_just_below_one", "orbit_just_above_zero"],
+    )
+    def test_rotation_wrap_finer_than_fixed_point(self, x0):
+        word = rotation_word(RotationParams(SQRT2_MINUS_1, THIRD, x0), 500)
+        assert word.text == sequential_orbit_word(x0, rotation_pieces(SQRT2_MINUS_1, THIRD), 500)
+
     @pytest.mark.parametrize("start", ["boundary_ab", "epsilon"])
     def test_threeiet_started_on_a_cut(self, rechecked, start):
         params = validate_params(GOLDEN.epsilon, GOLDEN.ell, getattr(GOLDEN, start))
@@ -64,8 +93,8 @@ def irrationals(draw, d):
 
 @st.composite
 def unit_fractions(draw):
-    """A rational in (0, 1)."""
-    den = draw(st.integers(2, 97))
+    """A rational in (0, 1); a denominator 2^k, k <= 80, reaches below 2^-64."""
+    den = draw(st.integers(2, 97) | st.integers(1, 80).map(lambda k: 2**k))
     return QuadraticReal(draw(st.integers(1, den - 1)), 0, 0, den)
 
 

@@ -160,12 +160,12 @@ class TestTernarization:
         done = 0
         while done < 50:
             eps = QuadraticReal(0, 1, roots[done % len(roots)], 1).fract()
-            if eps.is_rational or not (0 < float(eps) < 1):
+            if eps.is_rational or eps.sign() <= 0:
                 roots.append(roots[done % len(roots)] + 12)
                 continue
-            bound = max(float(eps), 1 - float(eps))
-            ell = QuadraticReal(rng.randint(int(bound * 1000) + 2, 999), 0, 0, 1000)
-            x0 = QuadraticReal(rng.randint(0, int(float(ell) * 100) - 1), 0, 0, 100)
+            bound = max(eps, 1 - eps)
+            ell = QuadraticReal(rng.randint((bound * 1000).floor() + 2, 999), 0, 0, 1000)
+            x0 = QuadraticReal(rng.randint(0, (ell * 100).floor() - 1), 0, 0, 100)
             params = validate_params(eps, ell, x0)
             word = threeiet_word(params, 500)
             assert ternarize(SPLIT_B01(word), SPLIT_B10(word)) == word
