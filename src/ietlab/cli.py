@@ -125,14 +125,15 @@ def _threeiet_params(args, kind: str) -> ThreeIetParams:
 # Peak resident memory, fitted to `ietlab` runs at N = 1e6, 4e6 and 1e7 on
 # x86-64 Linux with numpy 2.4: about 32 MiB for the interpreter with numpy,
 # plus per letter under 16 bytes for the generators, or, with the runs
-# engine, 48 bytes and one kept int32 doubling round (4 bytes) per bit of N.
-# `index` on the silver 3iet word peaked at 138, 490 and <= 1291 MiB against
-# estimates of 154, 550 and 1405.  `verify abmp` sorts the windows of two
-# projections of under 2N letters each: under 12 bytes a projection letter
-# while --nmax 2-bit letters fit 64 bits, and under 25 past that (prefix
-# doubling).  At --nmax 400 it peaked at 61 and 70 MiB for N = 1e6 (golden
-# word, ell 4/5: 1.25N projection letters; sqrt(2) - 1, ell 3/5: 1.67N)
-# against an estimate of 84, and at 149 and 188 MiB for N = 4e6 against 238.
+# engine, 24 bytes and 4 per bit of N for the kept doubling rounds.  The
+# worst measured was 99.5 bytes a letter over the 32 MiB against a charge of
+# 112 (`verify theorem3`, forty 2s, N = 4e6).  `verify abmp` sorts the
+# windows of two projections of under 2N letters each: under 12 bytes a
+# projection letter while --nmax 2-bit letters fit 64 bits, and under 25
+# past that (prefix doubling).  At --nmax 400 it peaked at 61 and 70 MiB for
+# N = 1e6 (golden word, ell 4/5: 1.25N projection letters; sqrt(2) - 1,
+# ell 3/5: 1.67N) against an estimate of 84, and at 149 and 188 MiB for
+# N = 4e6 against 238.
 BASE_BYTES = 32 * 2**20
 ABMP_DEPTH = 10  # the default --nmax of `verify abmp`
 
@@ -147,19 +148,36 @@ def _estimated_bytes(args, n_letters: int) -> int:
         return BASE_BYTES + 16 * n_letters
     if getattr(args, "experiment", None) == "ell-sweep":
         n_letters *= 2  # the collapsed word (B -> 01) has at most twice the letters
-    return BASE_BYTES + n_letters * (48 + 4 * n_letters.bit_length())
+    return BASE_BYTES + n_letters * (24 + 4 * n_letters.bit_length())
 
 
-def _memory_limit() -> int:
-    """Physical memory, or the cgroup v2 limit of this process when it is
-    readable and lower."""
+def _memory_limit(root: str = "/") -> int:
+    """Physical memory, or the lowest memory limit readable on the path of a
+    cgroup of this process, from /proc/self/cgroup, up to its root: v2
+    ``memory.max`` or the v1 memory controller's ``memory.limit_in_bytes``.
+    Both trees are read below ``root``."""
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     try:
-        with open("/sys/fs/cgroup/memory.max", encoding="ascii") as handle:
-            cgroup = handle.read().strip()
+        with open(os.path.join(root, "proc/self/cgroup"), encoding="ascii") as handle:
+            lines = handle.read().splitlines()
     except OSError:
         return limit
-    return min(limit, int(cgroup)) if cgroup.isdigit() else limit
+    for line in lines:
+        controllers, _, path = line.partition(":")[2].partition(":")
+        if controllers and "memory" not in controllers.split(","):
+            continue
+        mount, name = ("memory", "memory.limit_in_bytes") if controllers else ("", "memory.max")
+        parts = [part for part in path.split("/") if part]
+        for depth in range(len(parts), -1, -1):
+            try:
+                with open(os.path.join(root, "sys/fs/cgroup", mount, *parts[:depth], name),
+                          encoding="ascii") as handle:
+                    value = handle.read().strip()
+            except OSError:
+                continue
+            if value.isdigit():  # "max" means no limit
+                limit = min(limit, int(value))
+    return limit
 
 
 def _require_memory(args, n_letters: int, flag: str):

@@ -17,10 +17,10 @@ Each query first compares m letters at once, packed into one uint64 per
 position, and only the pairs that agree on all m go on to binary lifting
 over the saved doubling rounds of length m and above.  Pairs of period 1
 are read off the letter blocks instead.  That is at most 2n candidates and
-O(n log n) int32 memory.  Without runs, the best extension starts at one of
-two text-consecutive occurrences of a doubling window, which the same
-rounds and queries score; ``brute_force_index`` is an independent reference
-implementation kept deliberately naive.
+O(n log n) memory in uint16 and int32 rounds.  Without runs, the best
+extension starts at one of two text-consecutive occurrences of a doubling
+window, which the same rounds and queries score; ``brute_force_index`` is
+an independent reference implementation kept deliberately naive.
 """
 
 from __future__ import annotations
@@ -125,7 +125,10 @@ def _doubling_ranks(labels: np.ndarray, keep_from: int, width: int) -> list[np.n
     ``width`` letters or all differ; with width n the last round orders the
     suffixes (an inverse suffix array up to relabelling).  Rounds below
     ``keep_from`` are None once the next round is built, except the last, which
-    is always kept.
+    is always kept.  Another kept round with top below 2^16 - 1, as most are
+    (a word of complexity 2n + 1 has about 3 * 2^k windows of length 2^k),
+    turns uint16 once the next key is built; its sentinel 2^16 - 1 still
+    equals no rank.  The last stays int32: ``_lyndon_ends`` reads ~isa.
     """
     n = labels.size - 1
     pbits = (n - 1).bit_length()  # positions are below 2^pbits, and n <= 2^pbits
@@ -138,6 +141,7 @@ def _doubling_ranks(labels: np.ndarray, keep_from: int, width: int) -> list[np.n
     h = 1
     while h < width and distinct < n:
         span = top + 2
+        small = top < 2**16 - 1  # this round's ranks and sentinel fit uint16
         top = top * span + span - 1  # bound of the key
         key = rank[:n].astype(np.uint64)
         key *= span
@@ -145,6 +149,8 @@ def _doubling_ranks(labels: np.ndarray, keep_from: int, width: int) -> list[np.n
         key[: n - h] += 1
         if len(rounds) <= keep_from:
             rounds[-1] = None
+        elif small:
+            rounds[-1] = rank.astype(np.uint16)  # the -1 sentinel wraps to 2^16 - 1
         rank = np.empty(n + 1, dtype=np.int32)
         rank[n] = -1
         if top < 2**31 - 1 and ((top + 1) * (top + 2) - 1).bit_length() + pbits <= 64:
@@ -210,12 +216,12 @@ def _packed_letters(labels: np.ndarray, m: int) -> np.ndarray:
     bits, zero past the end; built by m - 1 shifted ORs in log2 m passes."""
     slot = 64 // m
     packed = labels.astype(np.uint64)
-    shifted = np.empty_like(packed)
     width = 1
     while width < min(m, packed.size):
-        rest = packed.size - width
-        np.left_shift(packed[width:], np.uint64(slot * width), out=shifted[:rest])
-        packed[:rest] |= shifted[:rest]
+        shift = np.uint64(slot * width)
+        for first in range(0, packed.size - width, _CHUNK):  # ascending: reads lie ahead of writes
+            shifted = packed[first + width : first + width + _CHUNK] << shift
+            packed[first : first + shifted.size] |= shifted
         width *= 2
     return packed
 
@@ -260,10 +266,11 @@ def _extensions(
         left = q - out - size
         return (left >= 0) & (rank[np.maximum(left, 0)] == rank[jj[q] - out - size])
 
-    x = packed[jj]
-    x ^= packed[: jj.size]
-    out = _equal_slots(x, m)
-    del x
+    out = np.empty(jj.size, dtype=np.int32)
+    for first in range(0, jj.size, _CHUNK):
+        x = packed[jj[first : first + _CHUNK]]
+        x ^= packed[first : first + x.size]
+        out[first : first + x.size] = _equal_slots(x, m)
     lift = m.bit_length() - 1
     reached = [np.flatnonzero(out == m).astype(np.int32)]  # reached[t]: pairs with l >= 2^(lift + t)
     for k in range(lift + 1, len(rounds) - 1):
@@ -397,13 +404,11 @@ def _candidates(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if n > 2**30:
         raise ParameterError(f"word of length {n} exceeds the runs engine's limit (2^30)")
     codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    cuts = np.flatnonzero(codes[1:] != codes[:-1])
-    edges = np.empty(cuts.size + 2, dtype=np.int32)  # letter-block boundaries
-    edges[0] = 0
-    edges[1:-1] = cuts + 1
-    edges[-1] = n
-    blocks = np.flatnonzero(np.diff(edges) >= 2)
+    edges = np.concatenate(([0], np.flatnonzero(codes[1:] != codes[:-1]) + 1, [n]))
+    long = np.diff(edges) >= 2  # letter blocks of length >= 2, by their int32 ends
+    block_start, block_end = edges[:-1][long].astype(np.int32), edges[1:][long].astype(np.int32)
     labels = _letter_labels(codes)
+    del codes, edges, long
     m = _packing_width(int(labels.max()))
     rounds = _doubling_ranks(labels, m.bit_length() - 1, n)
     jj = _lyndon_ends(rounds[-1][:n])
@@ -412,17 +417,17 @@ def _candidates(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     b = _extensions(rounds, _packed_letters(labels, m)[::-1], m, jj, forward=False)
     # No block and no pair with f + b >= j - i: no run.  `period` is built
     # only once the rounds are freed, which keeps the process peak lower.
-    if blocks.size == 0 and not np.any(f + b + np.arange(n - 1, dtype=np.int32) >= jj):
+    if block_start.size == 0 and not np.any(f + b + np.arange(n - 1, dtype=np.int32) >= jj):
         labels[:n] = labels[n - 1 :: -1]
-        del codes, cuts, edges, jj, f, b
+        del jj, f, b
         return _occurrence_candidates(labels, m, rounds)
     del rounds, labels
     period = jj - np.arange(n - 1, dtype=np.int32)
     keep = np.flatnonzero(f + b >= period)
     return (
-        np.concatenate((edges[blocks], keep.astype(np.int32) - b[keep])),
-        np.concatenate((edges[blocks + 1], jj[keep] + f[keep])),
-        np.concatenate((np.ones(blocks.size, dtype=np.int32), period[keep])),
+        np.concatenate((block_start, keep.astype(np.int32) - b[keep])),
+        np.concatenate((block_end, jj[keep] + f[keep])),
+        np.concatenate((np.ones(block_start.size, dtype=np.int32), period[keep])),
     )
 
 

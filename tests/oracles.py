@@ -284,6 +284,80 @@ def fib_char_prefix(n_letters):
     return cur[:n_letters]
 
 
+
+def characteristic_prefix_index(quotients, n):
+    """A lower bound, as a Fraction, of the repetition index of the first n
+    letters of the characteristic word of [0; a_1, a_2, ...], from the
+    quotients a_1, a_2, ... alone in plain integers:
+
+        max(1, max over k >= 0 with q_k <= n of
+               min(n, L_k) / q_k and, when P_k < n, min(n - P_k, L_k + q_k) / q_k)
+
+    with q_-1 = 0, q_0 = 1, q_(k+1) = a_(k+1) q_k + q_(k-1),
+    L_k = (a_(k+1) + 1) q_k + q_(k-1) - 2 and P_k = a_(k+2) q_(k+1).  The
+    quotients must reach a_(k+1) for the largest such k, and a_(k+2) when
+    q_(k+1) < n.
+
+    Each term is the ratio (p + e) / p of one pair: the extension e of the
+    period p = q_k at start 0 or at start P_k, inside the n letters.  That
+    proves the lower bound; the word's index, the largest such ratio over
+    all pairs, was equal to this value on every expansion tried (quotients
+    1..7, n up to 30000; quotients up to 60, n up to 1e6), but no proof
+    that no other pair beats these is written here, so tests may assert
+    only the lower bound.
+
+    Proof.  Let s_-1 = 1, s_0 = 0, s_1 = s_0^(a_1 - 1) s_-1 and
+    s_(k+1) = s_k^(a_(k+1)) s_(k-1), so |s_k| = q_k for k >= 0, and c is the
+    limit of the s_k (quotients past the last given one may be taken as 1:
+    the first n letters do not change).
+    (F1) For k >= 1, s_k s_(k-1) and s_(k-1) s_k differ exactly in their
+    last two letters (xy against yx, x != y): for k = 1 they are
+    0^(a_1 - 1) 1 0 and 0^(a_1) 1, and s_(k+1) s_k = s_k^(a_(k+1)) s_(k-1) s_k
+    against s_k s_(k+1) = s_k^(a_(k+1)) s_k s_(k-1) (Lothaire, "Algebraic
+    Combinatorics on Words", Ch. 2).
+    (F2) For k >= 1, s_(k+1) begins with s_k, and c begins with
+    s_(k+2) s_(k+1) s_k: c begins with s_(k+3) = s_(k+2)^(a_(k+3)) s_(k+1),
+    so with s_(k+2) s_(k+1) s_(k+2) or with s_(k+2) s_(k+2), and
+    s_(k+2) s_(k+2) begins with s_(k+2) s_(k+1) s_(k+1) or, when
+    a_(k+2) = 1, with s_(k+2) s_(k+1) s_k.
+    (E) If a word begins with s_k^b s_(k-1) s_k, k >= 1 and b >= 1, its
+    extension at period q_k from position 0 is b q_k + q_(k-1) - 2: shifted
+    by q_k it reads s_k^(b-1) s_(k-1) s_k, which agrees with
+    s_k^(b-1) s_k s_(k-1) s_k up to the second to last letter of
+    s_(k-1) s_k, and there first differs, by (F1).
+    For k >= 1, c begins with s_(k+1) s_k = s_k^(a_(k+1)) s_(k-1) s_k by
+    (F2), so (E) with b = a_(k+1) gives the segment [0, L_k) of period q_k;
+    at P_k, after s_(k+1)^(a_(k+2)), c reads s_k s_(k+1) s_k =
+    s_k^(a_(k+1) + 1) s_(k-1) s_k, so (E) with b = a_(k+1) + 1 gives the
+    segment [P_k, P_k + L_k + q_k).  For k = 0, c begins with
+    s_2 s_1 = (0^(a_1 - 1) 1)^(a_2) 0^(a_1) 1: a block of a_1 - 1 zeros at
+    0, which is L_0, and one of a_1 zeros at P_0 = a_1 a_2, which is
+    L_0 + q_0.  Inside n letters a segment [s, e) of period p gives the
+    ratio (min(n, e) - s) / p, which is each term above.  Damanik and Lenz,
+    "The index of Sturmian sequences", European J. Combin. 23 (2002),
+    find the index of the infinite word as the supremum of
+    (L_k + q_k) / q_k = 2 + a_(k+1) + (q_(k-1) - 2) / q_k.
+    """
+    a = [0, *quotients]  # a[k] is a_k
+    best = Fraction(1)
+    q_prev, q, k = 0, 1, 0
+    while q <= n:
+        q_next = a[k + 1] * q + q_prev
+        length = (a[k + 1] + 1) * q + q_prev - 2
+        best = max(best, Fraction(min(n, length), q))
+        if q_next < n and a[k + 2] * q_next < n:
+            best = max(best, Fraction(min(n - a[k + 2] * q_next, length + q), q))
+        q_prev, q, k = q, q_next, k + 1
+    return best
+
+
+def has_period(text, start, period, length):
+    """Whether text[start:start+length] lies inside the text and has the
+    period, letter by letter."""
+    return (0 <= start and start + length <= len(text)
+            and text[start + period : start + length] == text[start : start + length - period])
+
+
 def standard_words(cf):
     """s_1, s_2, ... of the recursion
 

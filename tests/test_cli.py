@@ -7,14 +7,16 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from ietlab import cli
 from ietlab.cli import main
-from ietlab.exactreal import _squarefree_split
+from ietlab.exactreal import CFExpansion, _squarefree_split
+from ietlab.sturmian import characteristic_prefix
 
-from oracles import HAS_PROC_STATUS, PEAK_KIB_SOURCE
+from oracles import HAS_PROC_STATUS, PEAK_KIB_SOURCE, characteristic_prefix_index, has_period
 
 GOLDEN_EPS = "(-1+1*sqrt(5))/2"
 SILVER_EPS = "(-1+1*sqrt(2))/1"
@@ -128,6 +130,19 @@ class TestIndex:
         assert code == 0
         data = json.loads(out)
         assert data["prefix_length"] == 200
+
+    def test_characteristic_index_at_a_million_letters(self, capsys):
+        quotients = [1, 2, 3, 4] * 10
+        code, out, _ = run(capsys, "index", "--kind", "characteristic",
+                           "--cf", "0," + ",".join(map(str, quotients)), "-N", "1000000")
+        assert code == 0
+        data = json.loads(out)
+        index = Fraction(data["index_num"], data["index_den"])
+        assert index >= characteristic_prefix_index(quotients, 1000000)
+        witness = data["witness"]
+        assert index == Fraction(witness["length"], witness["period"])
+        text = characteristic_prefix(CFExpansion.from_quotients(quotients), 1000000).text
+        assert has_period(text, witness["start"], witness["period"], witness["length"])
 
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "words.txt"
@@ -477,7 +492,22 @@ def test_deep_abmp_over_the_memory_limit_exits_2(capsys, monkeypatch, nmax, code
 def test_abmp_peak_within_the_estimate(eps, ell, nmax):
     # The process's own high-water mark, VmHWM, not ru_maxrss.  ell 3/5 gives
     # sqrt(2) - 1 projections of 1.67N letters, the golden word 1.25N.
-    argv = ["verify", "abmp", "--eps", eps, "--ell", ell, "-N", "1000000", "--nmax", nmax]
+    check_peak_within_the_estimate(
+        ["verify", "abmp", "--eps", eps, "--ell", ell, "-N", "1000000", "--nmax", nmax])
+
+
+@pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs Linux /proc")
+@pytest.mark.parametrize("argv", [
+    pytest.param(["index", "--kind", "3iet", "--eps", SILVER_EPS, "--ell", "7/10"], id="3iet"),
+    pytest.param(["verify", "theorem3", "--cf", FORTY_TWOS], id="theorem3"),
+])
+def test_runs_engine_peak_within_the_estimate(argv):
+    check_peak_within_the_estimate([*argv, "-N", "1000000"])
+
+
+def check_peak_within_the_estimate(argv):
+    """The VmHWM of ``ietlab argv`` (with -N 1000000) in a fresh child is
+    within the memory guard's estimate."""
     script = PEAK_KIB_SOURCE + (
         "import sys\n"
         "from ietlab.cli import main\n"
@@ -505,6 +535,67 @@ def test_level_over_the_memory_limit_exits_2(capsys, monkeypatch):
         code, out, err = run(capsys, *argv, "--cf", "0,1,1,1,1", "--level", "4")
         assert (code, out) == (2, "")
         assert err == "error: --level: 5 letters need about 32 MiB, above the 32 MiB memory limit\n"
+
+
+def fake_cgroups(root, lines, limits):
+    """A fake /proc/self/cgroup holding ``lines`` and fake limit files under
+    sys/fs/cgroup, both below ``root``."""
+    (root / "proc/self").mkdir(parents=True)
+    (root / "proc/self/cgroup").write_text("".join(line + "\n" for line in lines))
+    for path, value in limits.items():
+        (root / "sys/fs/cgroup" / path).parent.mkdir(parents=True, exist_ok=True)
+        (root / "sys/fs/cgroup" / path).write_text(value + "\n")
+    return str(root)
+
+
+class TestMemoryLimit:
+    PHYSICAL = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+    def test_cgroup_v2_takes_the_lowest_limit_up_to_the_root(self, tmp_path):
+        root = fake_cgroups(tmp_path, ["0::/user.slice/job"], {
+            "user.slice/job/memory.max": "max",
+            "user.slice/memory.max": str(3 * 2**20),
+            "memory.max": str(5 * 2**20),
+        })
+        assert cli._memory_limit(root) == 3 * 2**20
+
+    def test_cgroup_v1_reads_the_memory_controller(self, tmp_path):
+        root = fake_cgroups(tmp_path, ["5:cpu,cpuacct:/", "4:memory:/process_api/job", "0::/"], {
+            "cpu,cpuacct/cpu.shares": "1024",
+            "memory/process_api/job/memory.limit_in_bytes": str(7 * 2**20),
+            "memory/process_api/memory.limit_in_bytes": "9223372036854771712",
+            "memory/memory.limit_in_bytes": "9223372036854771712",
+        })
+        assert cli._memory_limit(root) == 7 * 2**20
+
+    def test_a_limit_on_an_ancestor_holds_when_the_path_is_not_mounted(self, tmp_path):
+        # inside a container the hierarchy is often mounted at its own cgroup
+        root = fake_cgroups(tmp_path, ["4:memory:/process_api/job"],
+                            {"memory/memory.limit_in_bytes": str(2**30)})
+        assert cli._memory_limit(root) == min(2**30, self.PHYSICAL)
+
+    @pytest.mark.parametrize("lines, limits", [
+        ([], {}),
+        (["0::/"], {"memory.max": "max"}),
+        (["4:memory:/"], {"memory/memory.limit_in_bytes": "9223372036854771712"}),
+        (["0::/job"], {}),
+    ])
+    def test_no_limit_leaves_physical_memory(self, tmp_path, lines, limits):
+        assert cli._memory_limit(fake_cgroups(tmp_path, lines, limits)) == self.PHYSICAL
+
+    def test_unreadable_proc_leaves_physical_memory(self, tmp_path):
+        assert cli._memory_limit(str(tmp_path)) == self.PHYSICAL
+
+    def test_length_over_the_cgroup_limit_exits_2(self, capsys, tmp_path, monkeypatch):
+        root = fake_cgroups(tmp_path, ["4:memory:/job"],
+                            {"memory/job/memory.limit_in_bytes": str(40 * 2**20)})
+        memory_limit = cli._memory_limit
+        monkeypatch.setattr(cli, "_memory_limit", lambda: memory_limit(root))
+        code, out, err = run(capsys, "index", "--kind", "3iet", "--eps", SILVER_EPS,
+                             "--ell", "7/10", "-N", "100000")
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: -N: 100000 letters need about \d+ MiB, "
+                            r"above the 40 MiB memory limit\n", err)
 
 
 def test_level_past_max_letters_is_never_formatted(capsys):

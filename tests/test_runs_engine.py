@@ -31,7 +31,9 @@ from ietlab.words import Word
 from oracles import (
     HAS_PROC_STATUS,
     PEAK_KIB_SOURCE,
+    characteristic_prefix_index,
     fractional_best,
+    has_period,
     naive_index,
     naive_runs,
     vtm_prefix,
@@ -121,6 +123,18 @@ def test_characteristic_prefixes(quotients, n):
     check_engine(characteristic_prefix(CFExpansion.from_quotients(quotients), n).text)
 
 
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.integers(1, 7), min_size=25, max_size=25), st.integers(2, 30000))
+def test_characteristic_index_reaches_the_oracle(quotients, n):
+    # the oracle's value is proved a lower bound; the witness bounds from above
+    word = characteristic_prefix(CFExpansion.from_quotients(quotients), n)
+    report = word_index_estimate(word)
+    assert report.index_estimate >= characteristic_prefix_index(quotients, n)
+    witness = report.witness
+    assert has_period(word.text, witness.start, witness.period, witness.length)
+    assert report.index_estimate == Fraction(witness.length, witness.period)
+
+
 @PREFIXES
 @given(irrationals(), UNIT, UNIT, st.integers(1, 400))
 def test_rotation_prefixes(alpha, beta, x0, n):
@@ -206,18 +220,44 @@ def test_exact_winner_between_close_ratios():
         assert _best_extension(start, end, period) == (winner[1] - winner[0], winner[2], winner[0])
 
 
-@pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs Linux /proc")
-def test_peak_memory_of_a_long_characteristic_prefix():
-    script = PEAK_KIB_SOURCE + (
-        "from ietlab.exactreal import CFExpansion\n"
+# The runs engine's high-water mark grows by about 75-82 bytes a letter on
+# the two 2e5-letter words below (x86-64, numpy 2.4).  The bound fails an
+# engine that keeps its doubling rounds in int32 and packs its LCE letters
+# through full-length temporaries (108-114 bytes a letter).
+ENGINE_BYTES_PER_LETTER = 90
+
+
+def engine_peak_bytes_per_letter(make_word):
+    """VmHWM growth of `word_index_estimate` in a fresh child, per letter of
+    the 2e5-letter word that the source ``make_word`` binds to ``word``."""
+    script = PEAK_KIB_SOURCE + make_word + (
         "from ietlab.repetitions import word_index_estimate\n"
-        "from ietlab.sturmian import characteristic_prefix\n"
-        "word = characteristic_prefix(CFExpansion.from_quotients([1, 2, 3, 4] * 10), 200000)\n"
         "before = peak_kib()\n"
         "word_index_estimate(word)\n"
         "print(peak_kib() - before)\n"
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          check=True, timeout=120)
-    assert int(out.stdout) < 250 * 1024, out.stdout
+    return int(out.stdout) * 1024 / 200000
 
+
+@pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs Linux /proc")
+def test_peak_memory_of_a_long_characteristic_prefix():
+    per_letter = engine_peak_bytes_per_letter(
+        "from ietlab.exactreal import CFExpansion\n"
+        "from ietlab.sturmian import characteristic_prefix\n"
+        "word = characteristic_prefix(CFExpansion.from_quotients([1, 2, 3, 4] * 10), 200000)\n"
+    )
+    assert per_letter < ENGINE_BYTES_PER_LETTER, per_letter
+
+
+@pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs Linux /proc")
+def test_peak_memory_of_a_long_3iet_prefix():
+    per_letter = engine_peak_bytes_per_letter(
+        "from ietlab.exactreal import parse_quadratic\n"
+        "from ietlab.threeiet import threeiet_word, validate_params\n"
+        "params = validate_params(parse_quadratic('(-1+1*sqrt(2))/1'), parse_quadratic('7/10'),\n"
+        "                         parse_quadratic('0'))\n"
+        "word = threeiet_word(params, 200000)\n"
+    )
+    assert per_letter < ENGINE_BYTES_PER_LETTER, per_letter
