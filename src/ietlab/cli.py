@@ -125,15 +125,16 @@ def _threeiet_params(args, kind: str) -> ThreeIetParams:
 # Peak resident memory, fitted to `ietlab` runs at N = 1e6, 4e6 and 1e7 on
 # x86-64 Linux with numpy 2.4: about 32 MiB for the interpreter with numpy,
 # plus per letter under 16 bytes for the generators, or, with the runs
-# engine, 24 bytes and 4 per bit of N for the kept doubling rounds.  The
-# worst measured was 99.5 bytes a letter over the 32 MiB against a charge of
-# 112 (`verify theorem3`, forty 2s, N = 4e6).  `verify abmp` sorts the
-# windows of two projections of under 2N letters each: under 12 bytes a
-# projection letter while --nmax 2-bit letters fit 64 bits, and under 25
-# past that (prefix doubling).  At --nmax 400 it peaked at 61 and 70 MiB for
-# N = 1e6 (golden word, ell 4/5: 1.25N projection letters; sqrt(2) - 1,
-# ell 3/5: 1.67N) against an estimate of 84, and at 149 and 188 MiB for
-# N = 4e6 against 238.
+# engine, 50 bytes and 2 per bit of N: the doubling keeps one more round,
+# of at most 4 bytes a letter, every two bits.  The worst measured was 67
+# bytes a letter over the 32 MiB against a charge of 98 (the characteristic
+# word of [0; (1,2,3,4) x 10], N = 1e7); at N = 1e5 the charge is 84 against
+# 38-42 measured.  `verify abmp` sorts the windows of two projections of
+# under 2N letters each: under 12 bytes a projection letter while --nmax
+# 2-bit letters fit 64 bits, and under 25 past that (prefix doubling).  At
+# --nmax 400 it peaked at 61 and 70 MiB for N = 1e6 (golden word, ell 4/5:
+# 1.25N projection letters; sqrt(2) - 1, ell 3/5: 1.67N) against an
+# estimate of 84, and at 149 and 188 MiB for N = 4e6 against 238.
 BASE_BYTES = 32 * 2**20
 ABMP_DEPTH = 10  # the default --nmax of `verify abmp`
 
@@ -148,7 +149,7 @@ def _estimated_bytes(args, n_letters: int) -> int:
         return BASE_BYTES + 16 * n_letters
     if getattr(args, "experiment", None) == "ell-sweep":
         n_letters *= 2  # the collapsed word (B -> 01) has at most twice the letters
-    return BASE_BYTES + n_letters * (24 + 4 * n_letters.bit_length())
+    return BASE_BYTES + n_letters * (50 + 2 * n_letters.bit_length())
 
 
 def _memory_limit(root: str = "/") -> int:

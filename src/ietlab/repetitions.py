@@ -15,12 +15,16 @@ a few positions, and a search over block maxima finds the rest.  Two
 longest-common-extension queries per pair turn it into a run or reject it.
 Each query first compares m letters at once, packed into one uint64 per
 position, and only the pairs that agree on all m go on to binary lifting
-over the saved doubling rounds of length m and above.  Pairs of period 1
-are read off the letter blocks instead.  That is at most 2n candidates and
-O(n log n) memory in uint16 and int32 rounds.  Without runs, the best
-extension starts at one of two text-consecutive occurrences of a doubling
-window, which the same rounds and queries score; ``brute_force_index`` is
-an independent reference implementation kept deliberately naive.
+over the doubling rounds of length m and above.  Only every other round is
+kept: a dropped round of 2^k-letter windows reads as two 2^(k-1)-letter
+halves in the round below, since two windows are equal exactly when both
+halves are.  Pairs of period 1 are read off the letter blocks instead.
+That is at most 2n candidates and O(n log n) memory in uint16 and int32
+rounds, half of them kept.  Without runs, the best extension starts at one
+of two text-consecutive occurrences of a doubling window, which the same
+rounds and queries score, each dropped round rebuilt once from the round
+below; ``brute_force_index`` is an independent reference implementation
+kept deliberately naive.
 """
 
 from __future__ import annotations
@@ -101,6 +105,37 @@ def _packed_sort(values: np.ndarray, pbits: int) -> None:
     values.sort()
 
 
+def _sorted_keys(key: np.ndarray, pbits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the uint64 keys with their positions by ``_packed_sort``; return
+    the positions in that order, an int64 view of ``key``, and the bools
+    new[t]: the key at t + 1 in that order differs from the key at t."""
+    mask = (1 << pbits) - 1
+    _packed_sort(key, pbits)
+    new = np.empty(key.size - 1, dtype=bool)
+    for first in range(0, new.size, _CHUNK):
+        pair = key[first : first + _CHUNK + 1]
+        np.greater(pair[1:] ^ pair[:-1], mask, out=new[first : first + _CHUNK])
+    key &= mask
+    return key.view(np.int64), new
+
+
+def _tied_pairs(order: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int32 (order[t], order[t + 1]) for each t where new[t] is false, the
+    equal neighbours of a sorted order; gathered in ``_CHUNK`` slices, so
+    the only full-length temporary is the mask."""
+    same = ~new
+    i = np.empty(np.count_nonzero(same), dtype=np.int32)
+    j = np.empty(i.size, dtype=np.int32)
+    done = 0
+    for first in range(0, same.size, _CHUNK):
+        pick = same[first : first + _CHUNK]
+        left = order[first : first + pick.size][pick]
+        i[done : done + left.size] = left
+        j[done : done + left.size] = order[first + 1 : first + 1 + pick.size][pick]
+        done += left.size
+    return i, j
+
+
 def _letter_labels(codes: np.ndarray) -> np.ndarray:
     """uint8 labels of the n letter codes, 1..k in alphabet order, followed
     by a 0 at index n for end-of-text (k <= 128 for ASCII letters)."""
@@ -110,29 +145,103 @@ def _letter_labels(codes: np.ndarray) -> np.ndarray:
     return labels
 
 
+def _pair_key(rank: np.ndarray, top: int, h: int) -> tuple[np.ndarray, int]:
+    """The uint64 keys rank * span + next + 1 of the next doubling round, with
+    span = top + 2 for ranks at most ``top``: next is the rank h positions on,
+    -1 past the end, so the keys order the pairs (rank at i, rank at i + h)
+    and stay below (top + 1)(top + 2).  ``rank`` is an int32 or uint16 round
+    of ``_doubling_ranks``; its sentinel at n is not read."""
+    n = rank.size - 1
+    span = top + 2
+    key = rank[:n].astype(np.uint64)
+    key *= span
+    after = rank[h:n]
+    key[: n - h] += after.view(np.uint32) if after.dtype == np.int32 else after
+    key[: n - h] += 1
+    return key, span
+
+
+def _ranked(
+    key: np.ndarray, span: int, pbits: int, ties: list[np.ndarray] | None = None
+) -> tuple[np.ndarray, int, int]:
+    """The int32 round (ranks, then -1 at index n) of the n keys of
+    ``_pair_key``, with its bound and its number of distinct ranks, counted
+    only when the ranks are made dense (0 for a packed round).  The keys
+    themselves are the round while they fit in int32 and the round after
+    would still fit with a position in 64 bits; otherwise the dense ranks are
+    read off value sorts of (key << pbits) | position, which order equal keys
+    by position.  A sorted round given a list ``ties`` appends to it the
+    int32 positions i and j of each key and the next in that order when they
+    are equal: j is the next occurrence of the window at i.  ``key`` is used
+    up."""
+    n = key.size
+    top = span * (span - 1) - 1  # the bound of the keys
+    rank = np.empty(n + 1, dtype=np.int32)
+    rank[n] = -1
+    if top < 2**31 - 1 and ((top + 1) * (top + 2) - 1).bit_length() + pbits <= 64:
+        rank[:n] = key
+        return rank, top, 0
+    # The key with its position fits in 64 bits after the letter round
+    # (key < 2^16, pbits <= 30) and after a packed round, which was packed
+    # only on that condition (a bound below the round's own, such as its
+    # largest rank, only makes the keys smaller).  Otherwise the ranks come from a sorted round
+    # and are dense, rank and next below n, so the key is below n (n + 1)
+    # < 2^(2 pbits + 1): 3 pbits + 1 bits with the position, which fit when
+    # n <= 2^21.  Past that, two stable LSD passes sort the keys: first the
+    # values (next + 1) << pbits | position, below 2^(2 pbits + 1), then
+    # rank << pbits | index in the first order, below 2^(2 pbits); both fit
+    # for n <= 2^31.  Dense ranks do not depend on how equal keys are ordered.
+    if top.bit_length() + pbits <= 64:
+        order, new = _sorted_keys(key, pbits)
+    else:
+        mask = (1 << pbits) - 1
+        order = key % span
+        _packed_sort(order, pbits)
+        order &= mask
+        order = order.view(np.int64)
+        second = key[order]
+        second //= span
+        _packed_sort(second, pbits)
+        second &= mask
+        order = order[second.view(np.int64)]
+        del second
+        ordered = key[order]
+        new = ordered[1:] != ordered[:-1]
+        del ordered
+    dense = np.zeros(n, dtype=np.int32)
+    dense[1:] = new
+    np.cumsum(dense, out=dense)  # in place: a cumsum of the bools would copy them to int32
+    rank[order] = dense  # positions are below 2^63: int64 indices scatter faster
+    top = int(dense[-1])
+    del dense
+    if ties is not None:
+        ties += _tied_pairs(order, new)
+    return rank, top, top + 1
+
+
 def _doubling_ranks(labels: np.ndarray, keep_from: int, width: int) -> list[np.ndarray | None]:
     """Round k ranks every window text[i:i+2^k] in lexicographic order, with
     end-of-text below every letter, so equal ranks mean equal windows inside
     the text.  Round 0 is labels - 1 for the n + 1 labels of
     ``_letter_labels``, which must be dense (the early stop reads top + 1 as
     the number of distinct letters).  Each int32 array ends with a -1 at index
-    n that equals no rank.  Round k+1 ranks (rank at i, rank at i + 2^k) by the
-    key rank * span + next + 1 (next = -1 past the end), below top + 1.  A
-    packed round keeps the key itself; a sorted round replaces it by its dense
-    rank, read off value sorts of (key << pbits) | position.  A round is packed
-    only while its key fits in int32 and the next round's key would still fit
-    with a position in 64 bits.  Doubling stops once the windows reach
+    n that equals no rank.  Round k+1 ranks (rank at i, rank at i + 2^k), by
+    ``_pair_key`` and ``_ranked``: a packed round keeps the key itself, a
+    sorted round its dense rank.  Doubling stops once the windows reach
     ``width`` letters or all differ; with width n the last round orders the
-    suffixes (an inverse suffix array up to relabelling).  Rounds below
-    ``keep_from`` are None once the next round is built, except the last, which
-    is always kept.  Another kept round with top below 2^16 - 1, as most are
-    (a word of complexity 2n + 1 has about 3 * 2^k windows of length 2^k),
-    turns uint16 once the next key is built; its sentinel 2^16 - 1 still
-    equals no rank.  The last stays int32: ``_lyndon_ends`` reads ~isa.
+    suffixes (an inverse suffix array up to relabelling).
+
+    Rounds keep_from, keep_from + 2, ... and the last are kept; every other
+    round is None as soon as the next is built.  A dropped round k reads as
+    round k - 1 twice, at i and at i + 2^(k-1): two windows are equal exactly
+    when both halves are.  A kept round other than the last with top below
+    2^16 - 1, as most are (a word of complexity 2n + 1 has about 3 * 2^k
+    windows of length 2^k), turns uint16 once the next key is built; its
+    sentinel 2^16 - 1 still equals no rank.  The last stays int32, the
+    distinct ranks that ``_lyndon_ends`` reads.
     """
     n = labels.size - 1
     pbits = (n - 1).bit_length()  # positions are below 2^pbits, and n <= 2^pbits
-    mask = (1 << pbits) - 1
     rank = labels.astype(np.int32)
     rank -= 1
     top = int(labels.max()) - 1  # an upper bound of the ranks
@@ -140,66 +249,15 @@ def _doubling_ranks(labels: np.ndarray, keep_from: int, width: int) -> list[np.n
     rounds = [rank]
     h = 1
     while h < width and distinct < n:
-        span = top + 2
-        small = top < 2**16 - 1  # this round's ranks and sentinel fit uint16
-        top = top * span + span - 1  # bound of the key
-        key = rank[:n].astype(np.uint64)
-        key *= span
-        key[: n - h] += rank[h:n].view(np.uint32)
-        key[: n - h] += 1
-        if len(rounds) <= keep_from:
+        key, span = _pair_key(rank, top, h)
+        level = len(rounds) - 1
+        if level < keep_from or (level - keep_from) % 2:
             rounds[-1] = None
-        elif small:
+        elif top < 2**16 - 1:  # this round's ranks and sentinel fit uint16
             rounds[-1] = rank.astype(np.uint16)  # the -1 sentinel wraps to 2^16 - 1
-        rank = np.empty(n + 1, dtype=np.int32)
-        rank[n] = -1
-        if top < 2**31 - 1 and ((top + 1) * (top + 2) - 1).bit_length() + pbits <= 64:
-            rank[:n] = key
-        else:
-            # The key with its position fits in 64 bits after the letter
-            # round (key < 2^16, pbits <= 30) and after a packed round, which
-            # was packed only on that condition.  Otherwise the ranks come
-            # from a sorted round and are dense, rank and next below n, so
-            # the key is below n (n + 1) < 2^(2 pbits + 1): 3 pbits + 1 bits
-            # with the position, which fit when n <= 2^21.  Past that, two
-            # stable LSD passes sort the keys: first the values
-            # (next + 1) << pbits | position, below 2^(2 pbits + 1), then
-            # rank << pbits | index in the first order, below 2^(2 pbits);
-            # both fit for n <= 2^31.  Dense ranks do not depend on how
-            # equal keys are ordered.
-            if top.bit_length() + pbits <= 64:
-                _packed_sort(key, pbits)
-                new = np.empty(n - 1, dtype=bool)
-                for first in range(0, n - 1, _CHUNK):
-                    pair = key[first : first + _CHUNK + 1]
-                    np.greater(pair[1:] ^ pair[:-1], mask, out=new[first : first + _CHUNK])
-                del pair  # a view that would keep this round's key alive
-                order = key
-                order &= mask
-                order = order.view(np.int64)
-            else:
-                order = key % span
-                _packed_sort(order, pbits)
-                order &= mask
-                order = order.view(np.int64)
-                second = key[order]
-                second //= span
-                _packed_sort(second, pbits)
-                second &= mask
-                order = order[second.view(np.int64)]
-                del second
-                ordered = key[order]
-                new = ordered[1:] != ordered[:-1]
-                del ordered
-            dense = np.zeros(n, dtype=np.int32)
-            dense[1:] = new
-            del new
-            np.cumsum(dense, out=dense)  # in place: a cumsum of the bools would copy them to int32
-            rank[order] = dense  # positions are below 2^63: int64 indices scatter faster
-            top = int(dense[-1])
-            distinct = top + 1
-            del order, dense
-        del key  # this round's temporaries go before the next round's key is built
+        del rank  # a dropped round goes before the next round is built
+        rank, top, distinct = _ranked(key, span, pbits)
+        del key
         rounds.append(rank)
         h *= 2
     return rounds
@@ -236,12 +294,35 @@ def _equal_slots(x: np.ndarray, m: int) -> np.ndarray:
     return (np.bitwise_count(low) >> ((64 // m).bit_length() - 1)).astype(np.int32)
 
 
+def _agree(rounds: list[np.ndarray | None], k: int, a: np.ndarray, b: np.ndarray,
+           forward: bool) -> np.ndarray:
+    """Whether text[a:a+2^k] == text[b:b+2^k] (forward) or
+    text[a-2^k:a] == text[b-2^k:b] (backward), for a < b <= n, read off
+    round k, or off round k - 1 where ``_doubling_ranks`` dropped round k:
+    first the halves nearer a and b, then, only for the pairs that agree
+    there, the farther halves.  Equal forward halves lie inside the text, so
+    no index of the second gather passes n; backward, a window that would
+    start before 0 is masked."""
+    rank = rounds[k]
+    if rank is None:
+        half = 1 << (k - 1) if forward else -(1 << (k - 1))
+        same = _agree(rounds, k - 1, a, b, forward)
+        sub = np.flatnonzero(same)
+        same[sub] = _agree(rounds, k - 1, a[sub] + half, b[sub] + half, forward)
+        return same
+    if forward:
+        return rank[a] == rank[b]
+    left = a - (1 << k)
+    return (left >= 0) & (rank[np.maximum(left, 0)] == rank[b - (1 << k)])
+
+
 def _extensions(
-    rounds: list[np.ndarray | None], packed: np.ndarray, m: int, jj: np.ndarray, forward: bool
+    rounds: list[np.ndarray | None], packed: np.ndarray, m: int, jj: np.ndarray, forward: bool,
+    ii: np.ndarray | None = None,
 ) -> np.ndarray:
-    """For the pairs i < j = jj[i] <= n, the largest l with
-    text[i:i+l] == text[j:j+l] (forward) or text[i-l:i] == text[j-l:j]
-    (backward).
+    """For the pairs i < j <= n, j = jj[t] and i = ii[t] (i = t without
+    ``ii``), the largest l with text[i:i+l] == text[j:j+l] (forward) or
+    text[i-l:i] == text[j-l:j] (backward).
 
     ``packed`` holds m letters per position from ``_packed_letters``: forward
     P[i] = text[i:i+m], backward P[i] = text[i-1], text[i-2], ... (the
@@ -250,32 +331,31 @@ def _extensions(
     special case: the label 0 of end-of-text equals no letter, and the side
     of the pair nearer the end (j forward, i backward) meets it while the
     other still reads a letter.  Only the pairs with m equal letters go on
-    to binary lifting over rounds log2 m and above, which ``_doubling_ranks``
-    keeps: an upward pass finds, on a shrinking set of pairs, the largest
-    2^k that agrees at the pair, and a downward pass adds each smaller 2^k
-    down to m that agrees next.  One more packed comparison at the reached
-    offset adds the last fewer than m letters.  The last round's windows
-    all differ, so l < 2^K, K = len(rounds) - 1, and a pair with l >= m
-    implies rounds above log2 m.  Positions and lengths stay below
-    n <= 2^30, so int32 holds every sum.
+    to binary lifting over rounds log2 m and above: an upward pass finds, on
+    a shrinking set of pairs, the largest 2^k that agrees at the pair, and a
+    downward pass adds each smaller 2^k down to m that agrees next.  Each
+    step is one ``_agree``, which reads a round that ``_doubling_ranks``
+    dropped (every other one above log2 m) as its two halves in the round
+    below.  One more packed comparison at the reached offset adds the last
+    fewer than m letters.  The last round's windows all differ, so l < 2^K,
+    K = len(rounds) - 1: the lifting stops at round K - 1 and never reads
+    round K, which may be None.  A pair with l >= m implies rounds above
+    log2 m.  Positions and lengths stay below n <= 2^30, so int32 holds
+    every sum.
     """
-    def agree(k, q, out):
-        rank, size = rounds[k], 1 << k
-        if forward:
-            return rank[q + out] == rank[jj[q] + out]
-        left = q - out - size
-        return (left >= 0) & (rank[np.maximum(left, 0)] == rank[jj[q] - out - size])
+    def start(q):
+        return q if ii is None else ii[q]
 
     out = np.empty(jj.size, dtype=np.int32)
     for first in range(0, jj.size, _CHUNK):
         x = packed[jj[first : first + _CHUNK]]
-        x ^= packed[first : first + x.size]
+        x ^= packed[first : first + x.size] if ii is None else packed[ii[first : first + x.size]]
         out[first : first + x.size] = _equal_slots(x, m)
     lift = m.bit_length() - 1
     reached = [np.flatnonzero(out == m).astype(np.int32)]  # reached[t]: pairs with l >= 2^(lift + t)
     for k in range(lift + 1, len(rounds) - 1):
         q = reached[-1]
-        q = q[agree(k, q, 0)]
+        q = q[_agree(rounds, k, start(q), jj[q], forward)]
         if q.size == 0:
             break
         out[q] = 1 << k
@@ -283,10 +363,11 @@ def _extensions(
     for t in range(len(reached) - 1, 0, -1):
         q = reached[t]
         k = lift + t - 1
-        out[q] += agree(k, q, out[q]).astype(np.int32) << k
+        at = out[q] if forward else -out[q]
+        out[q] += _agree(rounds, k, start(q) + at, jj[q] + at, forward).astype(np.int32) << k
     q = reached[0]
     at = out[q] if forward else -out[q]
-    out[q] += _equal_slots(packed[q + at] ^ packed[jj[q] + at], m)
+    out[q] += _equal_slots(packed[start(q) + at] ^ packed[jj[q] + at], m)
     return out
 
 
@@ -350,7 +431,8 @@ def _lyndon_ends(isa: np.ndarray) -> np.ndarray:
     of isa[d:] with isa[:-d] for d = 2..SHORT_ENDS settle every end within
     SHORT_ENDS positions, the smallest such d winning.  The open positions
     search from i + SHORT_ENDS + 1 for the first greater value in isa, or
-    in ~isa = -1 - isa for a smaller rank.
+    in ~isa = -1 - isa for a smaller rank; isa is inverted in place for that
+    search and back after it, so no copy is made.
     """
     n = isa.size
     rising = isa[1:] > isa[:-1]
@@ -363,8 +445,9 @@ def _lyndon_ends(isa: np.ndarray) -> np.ndarray:
     ends += dist
     at = np.flatnonzero(dist == 0).astype(np.int32)
     up = rising[at]
-    for values, q in ((isa, at[~up]), (~isa, at[up])):
-        ends[q] = _first_above(values, np.minimum(q + SHORT_ENDS + 1, n), values[q])
+    for q in (at[~up], at[up]):
+        ends[q] = _first_above(isa, np.minimum(q + SHORT_ENDS + 1, n), isa[q])
+        np.invert(isa, out=isa)  # ~isa = -1 - isa, then isa again
     return ends
 
 
@@ -412,6 +495,7 @@ def _candidates(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m = _packing_width(int(labels.max()))
     rounds = _doubling_ranks(labels, m.bit_length() - 1, n)
     jj = _lyndon_ends(rounds[-1][:n])
+    rounds[-1] = None  # only its length counts from here on
     f = _extensions(rounds, _packed_letters(labels, m), m, jj, forward=True)
     labels[:n] = labels[n - 1 :: -1]
     b = _extensions(rounds, _packed_letters(labels, m)[::-1], m, jj, forward=False)
@@ -450,10 +534,16 @@ def _occurrence_candidates(
     When no letter repeats, the trivial candidate stays the answer.
 
     Levels run from the top down, dropping each round once no lower level
-    needs it: a pair of level k lifts only through rounds up to k.  Windows
-    under m letters are keyed by packed letters (32 bits at most, ranks 31)
-    beside a position in one sort; j = n (end-of-text) marks no pair.  The
-    labels, m and rounds are those of ``_candidates``; the rounds are used up.
+    needs it: a pair of level k lifts only through rounds up to k.  A round
+    that ``_doubling_ranks`` dropped is rebuilt when its level comes, by one
+    more doubling step from the round below with that round's largest rank
+    as the bound; a sorted step's order is then this level's, and the
+    rebuilt round serves again as the next level's ``after``.  The last
+    round's windows all differ, so its test is
+    skipped and the round may be None.  Windows under m letters are keyed by
+    packed letters (32 bits at most, ranks 31) beside a position in one
+    sort.  The labels, m and rounds are those of ``_candidates``; the rounds
+    are used up.
     """
     n = labels.size - 1
     lift = m.bit_length() - 1
@@ -465,20 +555,27 @@ def _occurrence_candidates(
         return rounds[k][:n] if k >= lift else packed[:n] & np.uint64((1 << ((64 // m) << k)) - 1)
 
     best = [(1, 1, 0)]
-    for k in range(len(rounds) - 2, -1, -1):
-        key = windows(k).astype(np.uint64)
-        _packed_sort(key, pbits)
-        at = np.flatnonzero((key[1:] ^ key[:-1]) >> np.uint64(pbits) == 0)
-        key &= np.uint64((1 << pbits) - 1)
-        i, j = key[at].astype(np.int32), key[at + 1].astype(np.int32)
-        del key, at
-        after = windows(k + 1)
-        keep = (after[i] != after[j]) & (labels[i - 1] != labels[j - 1])  # labels[-1] is end-of-text
+    last = len(rounds) - 1
+    for k in range(last - 1, -1, -1):
+        ties = []
+        if rounds[k] is None and k > lift:
+            below = rounds[k - 1]
+            key, span = _pair_key(below, int(below[:n].max()), 1 << (k - 1))
+            rounds[k] = _ranked(key, span, pbits, ties)[0]
+            del key
+        if not ties:
+            key = windows(k).astype(np.uint64)
+            ties = _tied_pairs(*_sorted_keys(key, pbits))
+            del key
+        i, j = ties
+        del ties
+        keep = labels[i - 1] != labels[j - 1]  # labels[-1] is end-of-text
+        if k + 1 < last:
+            after = windows(k + 1)
+            keep &= after[i] != after[j]
         i, j = i[keep], j[keep]
         if i.size:
-            jj = np.full(n, n, dtype=np.int32)
-            jj[i] = j
-            f = _extensions(rounds, packed, m, jj, forward=True)[i]
+            f = _extensions(rounds, packed, m, j, forward=True, ii=i)
             best.append(_best_extension(i, j + f, j - i))
         rounds.pop()
     length, period, start = (np.array(column, dtype=np.int32) for column in zip(*best))
@@ -489,23 +586,29 @@ def _best_extension(start: np.ndarray, end: np.ndarray, period: np.ndarray) -> t
     """(length, period, start) of the candidate maximizing length/period;
     ties prefer the smallest period, then the smallest start.
 
-    Exact int64 cross-multiplication: lengths are at most 2^31 and periods
-    at most 2^30, so products stay below 2^61.  The exact floor of
-    length * 2^31 / period picks a first champion; each further pass moves
-    to a strictly better ratio until none is left.
+    Exact int64 cross-multiplication, one ``_CHUNK`` slice at a time: lengths
+    are at most 2^31 and periods at most 2^30, so products stay below 2^61.
+    In each slice the exact floor of length * 2^31 / period picks a first
+    champion, each further pass moves to a strictly better ratio until none
+    is left, and the tie-break picks among the slice's best.  The slice
+    champions then compare as Fractions.
     """
-    lengths = (end - start).astype(np.int64)
-    period = period.astype(np.int64)
-    best = int(((lengths << 31) // period).argmax())
-    while True:
-        gain = lengths * period[best] - lengths[best] * period
-        k = int(gain.argmax())
-        if gain[k] <= 0:
-            break
-        best = k
-    tied = np.flatnonzero(gain == 0)
-    k = tied[np.lexsort((start[tied], period[tied]))[0]]
-    return int(lengths[k]), int(period[k]), int(start[k])
+    champions = []
+    for first in range(0, start.size, _CHUNK):
+        part = slice(first, first + _CHUNK)
+        lengths = (end[part] - start[part]).astype(np.int64)
+        periods = period[part].astype(np.int64)
+        best = int(((lengths << 31) // periods).argmax())
+        while True:
+            gain = lengths * periods[best] - lengths[best] * periods
+            k = int(gain.argmax())
+            if gain[k] <= 0:
+                break
+            best = k
+        tied = np.flatnonzero(gain == 0)
+        k = tied[np.lexsort((start[part][tied], periods[tied]))[0]]
+        champions.append((int(lengths[k]), int(periods[k]), int(start[first + k])))
+    return max(champions, key=lambda c: (Fraction(c[0], c[1]), -c[1], -c[2]))
 
 
 # ---------------------------------------------------------------------------

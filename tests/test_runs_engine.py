@@ -220,11 +220,12 @@ def test_exact_winner_between_close_ratios():
         assert _best_extension(start, end, period) == (winner[1] - winner[0], winner[2], winner[0])
 
 
-# The runs engine's high-water mark grows by about 75-82 bytes a letter on
-# the two 2e5-letter words below (x86-64, numpy 2.4).  The bound fails an
-# engine that keeps its doubling rounds in int32 and packs its LCE letters
-# through full-length temporaries (108-114 bytes a letter).
-ENGINE_BYTES_PER_LETTER = 90
+# The runs engine's high-water mark grows by about 47-54 bytes a letter on
+# the two 2e5-letter words below (x86-64, numpy 2.4), 10% under the bound.
+# It fails an engine that keeps every doubling round from log2 m on and
+# builds full-length int64 temporaries to pick the best run (73-76 bytes a
+# letter), or one that also keeps its rounds in int32 (108-114).
+ENGINE_BYTES_PER_LETTER = 59
 
 
 def engine_peak_bytes_per_letter(make_word):

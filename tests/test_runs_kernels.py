@@ -26,6 +26,7 @@ from ietlab.repetitions import (
     _lyndon_ends,
     _packed_letters,
     _packing_width,
+    _ranked,
     word_index_estimate,
 )
 from ietlab.sturmian import characteristic_prefix
@@ -187,6 +188,60 @@ def test_extensions_match_the_oracle(data):
     check_extensions(text, np.random.default_rng(seed).integers(np.arange(1, n), n + 1))
 
 
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_extensions_over_dropped_rounds(data):
+    # A periodic stretch of up to 700 letters lifts pairs through rounds
+    # log2 m + 1 to 10, every other one dropped and read as two halves of
+    # the round below.  A stretch that runs to the end of the text puts
+    # forward pairs whose second half starts at or past n; one that starts
+    # at 0 puts backward pairs whose window would start before 0.
+    alphabet = LETTERS[: data.draw(st.sampled_from([1, 2, 3, 5, 16, 100]))]
+    letters = st.sampled_from(alphabet)
+    p = data.draw(st.integers(1, 12))
+    root = data.draw(st.text(letters, min_size=p, max_size=p))
+    stretch = root * 60
+    stretch = stretch[: data.draw(st.integers(p, len(stretch)))]
+    head = data.draw(st.sampled_from(["", alphabet]))
+    tail = data.draw(st.sampled_from(["", alphabet[::-1]]))
+    text = head + data.draw(st.text(letters, max_size=3)) + stretch + tail
+    n = len(text)
+    if n < 2:
+        return
+    labels = _letter_labels(np.frombuffer(text.encode("ascii"), dtype=np.uint8))
+    m = _packing_width(int(labels.max()))
+    lift = m.bit_length() - 1
+    rounds = _doubling_ranks(labels, lift, n)
+    last = len(rounds) - 1
+    assert [k for k in range(lift, last) if rounds[k] is None] == list(range(lift + 1, last, 2))
+    near = [min(n, i + d) for i in range(n - 1) for d in (p, 2 * p)]
+    ends = [n] * (n - 1)
+    check_extensions(text, near[0::2])
+    check_extensions(text, near[1::2])
+    check_extensions(text, ends)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    check_extensions(text, np.random.default_rng(seed).integers(np.arange(1, n), n + 1))
+
+
+@pytest.mark.parametrize("span", [2**16, 2**22])
+def test_ties_of_both_sorts(span):
+    # With 21 position bits, keys below 2^32 sort in one pass and keys below
+    # 2^44 in two; either way the ranks order the keys, and each tie pairs a
+    # position with the next position of the same key, in key order.
+    rng = np.random.default_rng(span)
+    values = rng.integers(0, 6, size=(2, 3000)) * [[span], [1]]
+    key = values.sum(axis=0).astype(np.uint64)
+    ties = []
+    rank, top, distinct = _ranked(key.copy(), span, 21, ties)
+    order = sorted(range(key.size), key=lambda i: (int(key[i]), i))
+    assert distinct == len(set(key.tolist())) == top + 1
+    for a, b in zip(order, order[1:]):
+        assert rank[a] < rank[b] if key[a] < key[b] else rank[a] == rank[b]
+    pairs = [(a, b) for a, b in zip(order, order[1:]) if key[a] == key[b]]
+    assert list(zip(*(t.tolist() for t in ties))) == pairs
+    assert [t.dtype for t in ties] == [np.int32, np.int32]
+
+
 def suffix_less(text, a, b):
     """text[a:] < text[b:], by windows that double until they differ."""
     size = 64
@@ -197,12 +252,14 @@ def suffix_less(text, a, b):
         size *= 2
 
 
-def check_long_word(text, key_bits, golden):
+def check_long_word(text, key_bits, golden, depth):
     n = len(text)
     codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    rounds = _doubling_ranks(_letter_labels(codes), 0, n)
+    # keep round depth - 1, the one before the last, round depth
+    rounds = _doubling_ranks(_letter_labels(codes), depth - 1, n)
+    assert len(rounds) == depth + 1
     # the last round's key bound, from the dense ranks before it, and positions
-    top = int(rounds[-2][:n].max())
+    top = int(rounds[depth - 1][:n].max())
     assert ((top + 1) * (top + 2) - 1).bit_length() + (n - 1).bit_length() == key_bits
     last = rounds[-1]
     del rounds
@@ -224,7 +281,7 @@ def test_full_width_packed_sort():
     # the last round sorts 42 key bits and 22 position bits in one pass
     word = characteristic_prefix(CFExpansion.from_quotients([1, 2, 3, 4] * 10), 2**21 + 1)
     check_long_word(word.text, 64,
-                    "77c07dfda51fcc64b6bee3abaa414858cbff4e91a5b99ff587a1ebac6953f8aa")
+                    "77c07dfda51fcc64b6bee3abaa414858cbff4e91a5b99ff587a1ebac6953f8aa", 21)
 
 
 def test_two_pass_sort():
@@ -241,7 +298,7 @@ def test_two_pass_sort():
     head = bits(10**6)
     text = head + root * 40 + bits(n - 10**6 - 440)
     check_long_word(text, 65,
-                    "444c612921a50a737aac9eb4316043fe8df02b89fa98b6a99ae50e18eef3d08d")
+                    "444c612921a50a737aac9eb4316043fe8df02b89fa98b6a99ae50e18eef3d08d", 9)
 
 
 def test_engine_refuses_words_past_int32_positions():
