@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -131,10 +132,11 @@ def _threeiet_params(args, kind: str) -> ThreeIetParams:
 # word of [0; (1,2,3,4) x 10], N = 1e7); at N = 1e5 the charge is 84 against
 # 38-42 measured.  `verify abmp` sorts the windows of two projections of
 # under 2N letters each: under 12 bytes a projection letter while --nmax
-# 2-bit letters fit 64 bits, and under 25 past that (prefix doubling).  At
-# --nmax 400 it peaked at 61 and 70 MiB for N = 1e6 (golden word, ell 4/5:
-# 1.25N projection letters; sqrt(2) - 1, ell 3/5: 1.67N) against an
-# estimate of 84, and at 149 and 188 MiB for N = 4e6 against 238.
+# 2-bit letters fit 64 bits (10.7 measured at --nmax 32), and under 25 past
+# that (prefix doubling; 20.7 measured).  At --nmax 400 it peaked at 56 and
+# 64 MiB for N = 1e6 (golden word, ell 4/5: 1.25N projection letters;
+# sqrt(2) - 1, ell 3/5: 1.67N) against an estimate of 84, and at 130 and
+# 164 MiB for N = 4e6 against 238.
 BASE_BYTES = 32 * 2**20
 ABMP_DEPTH = 10  # the default --nmax of `verify abmp`
 
@@ -489,6 +491,9 @@ def _add_common_value_flags(parser: argparse.ArgumentParser, rotation=False, cf=
     parser.add_argument("--out", help="write output to this path instead of stdout")
 
 
+# Built once: argparse's reference cycles would wait for a full garbage
+# collection after each call, so repeated `main` calls would grow memory.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ietlab",

@@ -107,33 +107,43 @@ def _orbit_word(
     require_length(n_letters)
     ends = tuple(end for end, _ in cuts)
     # E_c of the cuts c < 1, in order, then E = 0 for the cut 0 = 1
-    fixed = np.array([(end * 2**64).floor() for end in ends[:-1]] + [0], dtype=np.uint64)
-    codes = np.array([ord(letter or "\0") for _, letter in cuts], dtype=np.uint8)
-    x = np.uint64((x0 * 2**64).floor())
-    a = np.uint64((alpha * 2**64).floor())
-    out = np.empty(n_letters, dtype=np.uint8)
+    fixed = [np.uint64((end * 2**64).floor()) for end in ends[:-1]] + [np.uint64(0)]
+    # piece index -> letter, the pieces of the letter None deleted
+    to_letter = bytes.maketrans(bytes(range(len(cuts))),
+                                bytes(ord(letter or "\0") for _, letter in cuts))
+    deleted = bytes(i for i, (_, letter) in enumerate(cuts) if letter is None)
+    x, a = (x0 * 2**64).floor(), (alpha * 2**64).floor()
+    steps = np.arange(_BLOCK, dtype=np.uint64)
+    steps *= np.uint64(a)
+    y, gap = np.empty(_BLOCK, dtype=np.uint64), np.empty(_BLOCK, dtype=np.uint64)
+    piece, near, hit = (np.empty(_BLOCK, dtype=dtype) for dtype in (np.uint8, bool, bool))
+    out = bytearray(n_letters)
     filled = m = 0
     while filled < n_letters:
         # Every index yields at most one letter, so the block never overfills.
         size = min(_BLOCK, n_letters - filled)
         if m + size > 2 * MAX_LETTERS:
             raise ParameterError("the orbit needs rotation indices beyond 2**32")
-        y = np.arange(m, m + size, dtype=np.uint64)
-        y *= a
-        y += x
-        piece = np.searchsorted(fixed[:-1], y, side="right")
+        ys, pieces, nears, hits, gaps = y[:size], piece[:size], near[:size], hit[:size], gap[:size]
+        np.add(steps[:size], np.uint64((x + m * a) % 2**64), out=ys)
+        # the piece is the number of cuts c < 1 with E_c <= Y
+        pieces.fill(0)
+        for cut in fixed[:-1]:
+            np.greater_equal(ys, cut, out=hits)
+            np.add(pieces, hits, out=pieces)
         last = np.uint64(m + size - 1)
-        near = np.zeros(size, dtype=bool)
+        nears.fill(False)
         for cut in fixed:
-            near |= cut - y <= last
-        for j in np.flatnonzero(near).tolist():
-            piece[j] = _exact_piece(x0, alpha, m + j, ends)
-        letters = codes[piece]
-        letters = letters[letters != 0]
-        out[filled : filled + len(letters)] = letters
-        filled += len(letters)
+            np.subtract(cut, ys, out=gaps)
+            np.less_equal(gaps, last, out=hits)
+            nears |= hits
+        for j in np.flatnonzero(nears).tolist():
+            pieces[j] = _exact_piece(x0, alpha, m + j, ends)
+        block = pieces.tobytes().translate(to_letter, deleted)
+        out[filled : filled + len(block)] = block
+        filled += len(block)
         m += size
-    return out.tobytes().decode("ascii")
+    return out.decode("ascii")
 
 
 def rotation_word(params: RotationParams, n_letters: int) -> Word:

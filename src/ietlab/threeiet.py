@@ -28,7 +28,7 @@ from .words import (
     SPLIT_B10,
     TERNARY,
     Word,
-    is_balanced,
+    sturmian_certificates,
 )
 
 
@@ -205,14 +205,14 @@ def verify_projections(
             f"projections of length {len(b01)} are too short for depth {depth}"
         )
     roundtrip = ternarize(b01, b10) == word
+    del word  # freed before the certificates, which set the peak
 
-    def sturmian_certificates(image: Word) -> tuple[bool, bool]:
-        complexity = image.factor_complexities(depth) == list(range(2, depth + 2))
-        balance = is_balanced(image, depth).balanced
-        return complexity, balance
+    def certified(image: Word) -> tuple[bool, bool]:
+        complexities, balance = sturmian_certificates(image, depth)
+        return complexities == list(range(2, depth + 2)), balance.balanced
 
-    c01, bal01 = sturmian_certificates(b01)
-    c10, bal10 = sturmian_certificates(b10)
+    c01, bal01 = certified(b01)
+    c10, bal10 = certified(b10)
     rot = sturmian_word(SturmianParams(params.epsilon, params.x0), len(b01))
     return ProjectionReport(
         prefix_length=n_letters,

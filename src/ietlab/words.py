@@ -96,61 +96,118 @@ class Word:
         return self.factor_complexities(n)[-1] if n else 1
 
     def factor_complexities(self, depth: int) -> list[int]:
-        """[p(1), ..., p(depth)], p(n) the number of distinct length-n factors.
+        """[p(1), ..., p(depth)], p(n) the number of distinct length-n factors
+        (see ``_factor_pass``)."""
+        return _factor_pass(self, depth)[0]
 
-        Every position starts a window of ``depth`` letters, coded by Horner's
-        rule over b-bit letter indices 1..k in alphabet order and padded past
-        the end with the sentinel 0, b = bit length of k for k letters.  In
-        sorted order, the length-n prefixes of the distinct windows take
-        1 + c(n) values, c(n) the number of neighbour pairs whose common
-        prefix is shorter than n.  The n - 1 windows that start within n - 1
-        letters of the end each have a distinct prefix holding the sentinel,
-        so p(n) = c(n) - n + 2.
 
-        Windows of more than 64 bits are cut into chunks of 32 // b letters
-        and ordered by the last round, the only one kept, of the runs
-        engine's ``_doubling_ranks`` over the dense ``_letter_labels`` of the
-        letter indices, stopped at 2^K >= depth letters: any lexicographic
-        order keeps the windows with a common prefix adjacent.  A neighbour
-        pair's common prefix then ends in the first chunk whose codes differ.
-        """
-        text = self.text
-        if not 0 <= depth <= len(text):
-            raise ParameterError(f"factor length {depth} exceeds word length {len(text)}")
-        if depth == 0:
-            return []
-        table = np.zeros(256, dtype=np.uint8)
-        table[[ord(letter) for letter in self.alphabet]] = np.arange(1, len(self.alphabet) + 1)
-        letters = np.zeros(len(text) + depth - 1, dtype=np.uint8)
-        letters[: len(text)] = table[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
-        bits = len(self.alphabet).bit_length()
-        chunk = depth if depth * bits <= 64 else 32 // bits
-        spans = [(first, min(depth, first + chunk)) for first in range(0, depth, chunk)]
-        if len(spans) == 1:
-            key = _window_codes(letters, slice(0, len(text)), len(text), 0, depth, bits)
-            del letters  # the codes hold every letter needed from here on
-            key.sort()
-            codes = [key[_first_of_each_value(key)]]
-        else:
-            rank = _doubling_ranks(_letter_labels(letters[: len(text)]), depth, depth)[-1][:-1]
-            order = np.argsort(rank)
-            starts = order[_first_of_each_value(rank[order])]
-            codes = (_window_codes(letters, starts, len(starts), first, last, bits)
-                     for first, last in spans)
-        # From here on only the distinct windows, in sorted order, count.
-        same = True  # pairs equal in every chunk so far
-        shorter = 0  # pairs that differ in an earlier chunk
-        counts = []
-        for (first, last), code in zip(spans, codes):
-            differ = code[1:] ^ code[:-1]
-            differ *= same
-            same &= differ == 0
-            # The common prefix ends before letter n exactly when the codes
-            # differ in one of the letters first..n-1 of the chunk.
-            for n in range(first + 1, last + 1):
-                counts.append(shorter + np.count_nonzero(differ >= 1 << bits * (last - n)))
-            shorter += np.count_nonzero(differ)
-        return [int(count) - n + 2 for n, count in enumerate(counts, 1)]
+# Cells of one (lengths x distinct windows) block of the balance pass.
+_CELLS = 2**16
+
+
+def _factor_pass(word: Word, depth: int, balance: bool = False) -> tuple[list[int], int]:
+    """[p(1), ..., p(depth)] and, if ``balance``, the first length n <= depth
+    at which two factors of a binary word differ by more than one '1', else 0.
+
+    Every position starts a window of ``depth`` letters, coded by Horner's
+    rule over b-bit letter indices 1..k in alphabet order and padded past
+    the end with the sentinel 0, b = bit length of k for k letters.  In
+    sorted order, the length-n prefixes of the distinct windows take
+    1 + c(n) values, c(n) the number of neighbour pairs whose common
+    prefix is shorter than n.  The n - 1 windows that start within n - 1
+    letters of the end each have a distinct prefix holding the sentinel,
+    so p(n) = c(n) - n + 2.
+
+    Windows of more than 64 bits are cut into chunks of 32 // b letters
+    and ordered by the last round, the only one kept, of the runs
+    engine's ``_doubling_ranks`` over the dense ``_letter_labels`` of the
+    letter indices, stopped at 2^K >= depth letters: any lexicographic
+    order keeps the windows with a common prefix adjacent.  A neighbour
+    pair's common prefix then ends in the first chunk whose codes differ.
+
+    The length-n factors are the length-n prefixes of the distinct windows
+    whose letter n is not the sentinel, so balance is read from those
+    windows alone: their letters, unpacked from the sorted codes or read at
+    the windows' first starts, are summed down the lengths in blocks of
+    rows, counting the letter with index 2 (counting either letter gives
+    the same spread), up to the first length whose counts spread by more
+    than one.  A binary word balanced up to length n has at most n + 1
+    factors of each length up to n (Lothaire, Algebraic Combinatorics on
+    Words, Ch. 2), so a balanced word has at most 2 * depth distinct
+    windows and the pass costs O(depth^2) after the sort.
+    """
+    text = word.text
+    if not 0 <= depth <= len(text):
+        raise ParameterError(f"factor length {depth} exceeds word length {len(text)}")
+    if depth == 0:
+        return [], 0
+    alphabet = "".join(word.alphabet).encode("ascii")
+    indices = bytes.maketrans(alphabet, bytes(range(1, len(alphabet) + 1)))
+    letters = np.zeros(len(text) + depth - 1, dtype=np.uint8)
+    letters[: len(text)] = np.frombuffer(text.encode("ascii").translate(indices), dtype=np.uint8)
+    bits = len(alphabet).bit_length()
+    chunk = depth if depth * bits <= 64 else 32 // bits
+    spans = [(first, min(depth, first + chunk)) for first in range(0, depth, chunk)]
+    if len(spans) == 1:
+        key = _window_codes(letters, slice(0, len(text)), len(text), 0, depth, bits)
+        del letters  # the codes hold every letter needed from here on
+        key.sort()
+        distinct = key[_first_of_each_value(key)]
+        del key
+        codes = [distinct]
+        size = len(distinct)
+
+        def columns(first, last):
+            shifts = (bits * (depth - 1 - np.arange(first, last))).astype(distinct.dtype)
+            return (distinct >> shifts[:, None]) & ((1 << bits) - 1)
+    else:
+        rank = _doubling_ranks(_letter_labels(letters[: len(text)]), depth, depth)[-1][:-1]
+        order = np.argsort(rank)
+        starts = order[_first_of_each_value(rank[order])]
+        del rank, order
+        codes = (_window_codes(letters, starts, len(starts), first, last, bits)
+                 for first, last in spans)
+        size = len(starts)
+
+        def columns(first, last):
+            return letters[starts + np.arange(first, last)[:, None]]
+    # From here on only the distinct windows, in sorted order, count.
+    same = True  # pairs equal in every chunk so far
+    shorter = 0  # pairs that differ in an earlier chunk
+    counts = []
+    for (first, last), code in zip(spans, codes):
+        differ = code[1:] ^ code[:-1]
+        differ *= same
+        same &= differ == 0
+        # The common prefix ends before letter n exactly when the codes
+        # differ in one of the letters first..n-1 of the chunk.
+        for n in range(first + 1, last + 1):
+            counts.append(shorter + np.count_nonzero(differ >= 1 << bits * (last - n)))
+        shorter += np.count_nonzero(differ)
+    complexities = [int(count) - n + 2 for n, count in enumerate(counts, 1)]
+    return complexities, _first_unbalanced(columns, depth, size) if balance else 0
+
+
+def _first_unbalanced(columns, depth: int, size: int) -> int:
+    """The first length n <= depth at which the ones counts of the length-n
+    prefixes of ``size`` windows without the sentinel spread by more than
+    one, or 0; ``columns(first, last)`` holds letters first..last-1 of the
+    windows, one row a letter, as binary letter indices 1, 2 or 0."""
+    dtype = np.min_scalar_type(depth + 1)
+    rows = max(1, _CELLS // size)
+    ones = np.zeros(size, dtype=dtype)
+    for first in range(0, depth, rows):
+        block = columns(first, min(depth, first + rows))
+        count = np.cumsum(block >> 1, axis=0, dtype=dtype)
+        count += ones
+        ones = count[-1]
+        valid = block != 0
+        high = np.where(valid, count, 0).max(axis=1)
+        low = np.where(valid, count, depth + 1).min(axis=1)
+        failing = np.flatnonzero(high - low > 1)
+        if len(failing):
+            return first + int(failing[0]) + 1
+    return 0
 
 
 def _window_codes(letters: np.ndarray, starts, size: int, first: int, last: int,
@@ -240,8 +297,10 @@ class BalanceCheck(NamedTuple):
     witness: tuple[str, str] | None
 
 
-def is_balanced(word: Word, n_max: int) -> BalanceCheck:
-    """Check that same-length factors never differ by more than one '1'.
+def sturmian_certificates(word: Word, depth: int) -> tuple[list[int], BalanceCheck]:
+    """Both finite Sturmian certificates of a binary word from one sort of its
+    windows: ``word.factor_complexities(depth)``, and whether same-length
+    factors up to ``depth`` never differ by more than one '1'.
 
     On failure the witness holds a violating factor pair of the first
     failing length: the first window with the fewest ones and the first
@@ -249,17 +308,19 @@ def is_balanced(word: Word, n_max: int) -> BalanceCheck:
     """
     if set(word.alphabet) != set(BINARY):
         raise ParameterError("balance is defined for binary words only")
+    complexities, failing = _factor_pass(word, depth, balance=True)
+    if not failing:
+        return complexities, BalanceCheck(True, None)
     text = word.text
-    longest = min(n_max, len(text))
-    ones = np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord("1")
-    # window[i] counts the ones of text[i:i+n], at most n <= longest; the
-    # smallest type that holds it keeps the peak memory of long words low.
-    window = ones.astype(np.min_scalar_type(max(longest, 0)))
-    for n in range(1, longest + 1):
-        if n > 1:
-            window = window[:-1]
-            window += ones[n - 1 :]
-        low_at, high_at = int(window.argmin()), int(window.argmax())
-        if int(window[high_at]) - int(window[low_at]) > 1:
-            return BalanceCheck(False, (text[low_at : low_at + n], text[high_at : high_at + n]))
-    return BalanceCheck(True, None)
+    ones = np.zeros(len(text) + 1, dtype=np.uint32)  # wraps, but differences stay exact
+    np.cumsum(np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord("1"),
+              dtype=np.uint32, out=ones[1:])
+    window = ones[failing:] - ones[:-failing]
+    low_at, high_at = int(window.argmin()), int(window.argmax())
+    witness = (text[low_at : low_at + failing], text[high_at : high_at + failing])
+    return complexities, BalanceCheck(False, witness)
+
+
+def is_balanced(word: Word, n_max: int) -> BalanceCheck:
+    """The balance certificate of ``sturmian_certificates`` up to length n_max."""
+    return sturmian_certificates(word, max(0, min(n_max, len(word))))[1]

@@ -9,9 +9,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ietlab import words as words_module
 from ietlab.errors import ParameterError
 from ietlab.threeiet import NotAmicable, ternarize
-from ietlab.words import BINARY, SPLIT_B01, SPLIT_B10, TERNARY, Word, is_balanced
+from ietlab.words import (
+    BINARY,
+    SPLIT_B01,
+    SPLIT_B10,
+    TERNARY,
+    Word,
+    is_balanced,
+    sturmian_certificates,
+)
 
 from oracles import (
     HAS_PROC_STATUS,
@@ -195,6 +204,66 @@ class TestBalance:
         for flipped in (text, flip(text, 650)):
             word = Word(flipped, BINARY)
             assert is_balanced(word, 700) == sequential_is_balanced(word, 700)
+
+
+def check_certificates(word, depth):
+    complexities, balance = sturmian_certificates(word, depth)
+    assert complexities == expected_complexities(word, depth), depth
+    assert balance == sequential_is_balanced(word, depth), depth
+
+
+class TestSturmianCertificates:
+    @PROPERTY
+    @given(binary_words(max_size=150), st.booleans(), st.data())
+    def test_against_the_oracles(self, word, swapped, data):
+        # The balance pass counts the alphabet's second letter; with the
+        # alphabet swapped that is '0', and the witness must not change.
+        if swapped:
+            word = Word(word.text, BINARY[::-1])
+        check_certificates(word, data.draw(st.integers(0, len(word))))
+
+    @pytest.mark.parametrize("depth", range(1, 41))
+    def test_across_the_one_sort_and_deep_paths(self, depth):
+        # Up to depth 32 a window of 2-bit letters is one 64-bit code; from
+        # 33 on the windows are ordered by prefix doubling.  The flips make
+        # words that first fail at various lengths, one of them near the end.
+        text = fib_char_prefix(300)
+        for at in (None, 150, 290, 299):
+            word = Word(text if at is None else flip(text, at), BINARY)
+            check_certificates(word, depth)
+
+    @pytest.mark.parametrize("at", [None, 3, 350, 690])
+    def test_deep_700_letters(self, at):
+        text = fib_char_prefix(700)
+        word = Word(text if at is None else flip(text, at), BINARY)
+        for depth in (64, 400, 700):
+            check_certificates(word, depth)
+
+    def test_first_failure_past_the_first_block_of_lengths(self):
+        # Two ones 151 letters apart: balanced up to length 151, then 0^152
+        # and 1 0^150 1 differ by two.  About 750 distinct windows make
+        # blocks of under 90 lengths, so the counts must carry across blocks.
+        word = Word("0" * 300 + "1" + "0" * 150 + "1" + "0" * 300, BINARY)
+        check_certificates(word, 400)
+        assert len(sturmian_certificates(word, 400)[1].witness[0]) == 152
+
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    def test_lengths_in_small_blocks(self, monkeypatch, cells):
+        monkeypatch.setattr(words_module, "_CELLS", cells)
+        text = fib_char_prefix(300)
+        for case in (text, flip(text, 150), "0" * 60 + "1" + "0" * 30 + "1" + "0" * 60):
+            for depth in (20, 40, 150):
+                check_certificates(Word(case, BINARY), depth)
+
+    def test_is_balanced_clamps_its_depth(self):
+        word = Word("0100101", BINARY)
+        assert is_balanced(word, 50) == sequential_is_balanced(word, 50) == (True, None)
+        assert is_balanced(word, -3) == (True, None)
+        assert sturmian_certificates(Word("", BINARY), 0) == ([], (True, None))
+
+    def test_binary_words_only(self):
+        with pytest.raises(ParameterError):
+            sturmian_certificates(Word("ABC", TERNARY), 2)
 
 
 def expected_ternarize(first, second):

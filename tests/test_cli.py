@@ -232,6 +232,16 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    def test_parser_reused_across_calls(self, capsys):
+        # One parser serves every call; a flag of one call never leaks into
+        # the defaults of the next.
+        argv = ("verify", "abmp", "--eps", GOLDEN_EPS, "--ell", "4/5", "-N", "2000")
+        code, out, _ = run(capsys, *argv, "--nmax", "12")
+        assert code == 0 and json.loads(out)["certificate_depth"] == 12
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["certificate_depth"] == 10
+        assert cli.build_parser() is cli.build_parser()
+
     def test_bounds(self, capsys):
         code, out, _ = run(capsys, "verify", "bounds", "--eps", SILVER_EPS,
                            "--ell", "7/10", "-N", "10000")

@@ -154,6 +154,76 @@ def test_threeiet_matches_sequential_coder(case):
     assert word.text == sequential_orbit_word(params.x0, threeiet_pieces(params), n)
 
 
+SMALL_BLOCK = 64
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of 64 rotation indices, so a few thousand letters cross many
+    block ends."""
+    monkeypatch.setattr(sturmian, "_BLOCK", SMALL_BLOCK)
+
+
+class TestSmallBlocks:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 3000])
+    def test_rotation(self, small_blocks, n):
+        x0 = QuadraticReal(1, 0, 0, 10)
+        word = rotation_word(RotationParams(SQRT2_MINUS_1, THIRD, x0), n)
+        assert word.text == sequential_orbit_word(x0, rotation_pieces(SQRT2_MINUS_1, THIRD), n)
+
+    @pytest.mark.parametrize("ell", [QuadraticReal(4, 0, 0, 5), QuadraticReal(2, 0, 0, 3)])
+    def test_threeiet_deletions_across_block_ends(self, small_blocks, ell):
+        params = validate_params(PHI_MINUS_1, ell, QuadraticReal(1, 0, 0, 7))
+        n = 3000
+        text = threeiet_word(params, n).text
+        assert text == sequential_orbit_word(params.x0, threeiet_pieces(params), n)
+        # Each B is followed by one deleted rotation index (the visit to
+        # [ell, 1)): letter i sits at index i + (number of B before i).
+        codes = np.frombuffer(text.encode(), dtype=np.uint8)
+        b_at = np.flatnonzero(codes == ord("B"))
+        deleted = b_at + np.arange(1, len(b_at) + 1)
+        assert {0, SMALL_BLOCK - 1} <= set((deleted % SMALL_BLOCK).tolist())
+
+    def test_rotation_recheck_in_a_later_block(self, small_blocks, rechecked):
+        x0 = QuadraticReal(1, 0, 0, 10)
+        beta = (x0 + 200 * SQRT2_MINUS_1).fract()  # y_200 = beta exactly
+        word = rotation_word(RotationParams(SQRT2_MINUS_1, beta, x0), 1000)
+        assert 200 in rechecked and word.text[200] == "1"
+        assert word.text == sequential_orbit_word(x0, rotation_pieces(SQRT2_MINUS_1, beta), 1000)
+
+    def test_threeiet_recheck_in_a_later_block(self, small_blocks, rechecked):
+        eps, ell = GOLDEN.epsilon, GOLDEN.ell
+        # a start whose rotation orbit hits the cut eps at index k > 128
+        k = next(k for k in range(129, 400) if ((eps - k * (1 - eps)).fract() - ell).sign() < 0)
+        params = validate_params(eps, ell, (eps - k * (1 - eps)).fract())
+        text = threeiet_word(params, 2000).text
+        assert k in rechecked
+        assert text == sequential_orbit_word(params.x0, threeiet_pieces(params), 2000)
+
+
+SMALL_PROPERTY = settings(PROPERTY, max_examples=20)
+
+
+@SMALL_PROPERTY
+@given(rotations())
+def test_small_block_rotations_match_sequential_coder(case):
+    alpha, beta, x0, n = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sturmian, "_BLOCK", SMALL_BLOCK)
+        word = rotation_word(RotationParams(alpha, beta, x0), n)
+    assert word.text == sequential_orbit_word(x0, rotation_pieces(alpha, beta), n)
+
+
+@SMALL_PROPERTY
+@given(exchanges())
+def test_small_block_exchanges_match_sequential_coder(case):
+    params, n = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sturmian, "_BLOCK", SMALL_BLOCK)
+        word = threeiet_word(params, n)
+    assert word.text == sequential_orbit_word(params.x0, threeiet_pieces(params), n)
+
+
 class TestLargeIndices:
     N = 10**6
 
