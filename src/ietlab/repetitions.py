@@ -90,9 +90,12 @@ class IndexReport:
 # runs engine: doubling ranks, binary-lifting LCE, Lyndon roots
 # ---------------------------------------------------------------------------
 
-# Entries per slice of the chunked passes below: their temporaries take
-# 512 KiB instead of 8 bytes a position.
-_CHUNK = 1 << 16
+# Entries per slice of the chunked passes below: a temporary of 8 bytes an
+# entry takes 128 KiB instead of 8 bytes a position.  Larger slices run no
+# faster, and the five temporaries of the first comparison in `_extensions`
+# would raise the engine's peak (by 5 bytes a letter with 2^16 entries, on
+# 2e5 letters).
+_CHUNK = 1 << 14
 
 
 def _packed_sort(values: np.ndarray, pbits: int) -> None:
@@ -138,60 +141,72 @@ def _tied_pairs(order: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def _letter_labels(codes: np.ndarray) -> np.ndarray:
     """uint8 labels of the n letter codes, 1..k in alphabet order, followed
-    by a 0 at index n for end-of-text (k <= 128 for ASCII letters)."""
-    present = np.bincount(codes, minlength=256) > 0
+    by a 0 at index n for end-of-text (k <= 128 for ASCII letters); one
+    ``bytes.translate`` through the label table labels the letters."""
+    present = np.zeros(256, dtype=bool)
+    present[codes] = True
     labels = np.zeros(codes.size + 1, dtype=np.uint8)
-    labels[:-1] = np.cumsum(present, dtype=np.uint8)[codes]
+    table = np.cumsum(present, dtype=np.uint8).tobytes()
+    labels[:-1] = np.frombuffer(codes.tobytes().translate(table), dtype=np.uint8)
     return labels
 
 
-def _pair_key(rank: np.ndarray, top: int, h: int) -> tuple[np.ndarray, int]:
-    """The uint64 keys rank * span + next + 1 of the next doubling round, with
+def _pair_key(rank: np.ndarray, top: int, h: int, pbits: int) -> tuple[np.ndarray, int]:
+    """The keys rank * span + next + 1 of the next doubling round, with
     span = top + 2 for ranks at most ``top``: next is the rank h positions on,
     -1 past the end, so the keys order the pairs (rank at i, rank at i + h)
-    and stay below (top + 1)(top + 2).  ``rank`` is an int32 or uint16 round
-    of ``_doubling_ranks``; its sentinel at n is not read."""
+    and stay below (top + 1)(top + 2).  ``rank`` is an int32 round of
+    ``_doubling_ranks`` with h < n; its sentinel at n is not read.
+
+    A packed round is one whose key bound span (span - 1) - 1 is below
+    2^31 - 1 and whose next round's key would still fit beside a position of
+    ``pbits`` bits in 64: its keys overwrite ``rank`` as the round itself,
+    with -1 at index n, in ascending slices (key i reads rank[i + h], ahead
+    of every slice written).  Otherwise they are built in uint64 for
+    ``_ranked`` and ``rank`` is left as it is.  Returned with span; the
+    dtype tells the two apart."""
     n = rank.size - 1
     span = top + 2
-    key = rank[:n].astype(np.uint64)
-    key *= span
-    after = rank[h:n]
-    key[: n - h] += after.view(np.uint32) if after.dtype == np.int32 else after
+    top = span * (span - 1) - 1
+    if top < 2**31 - 1 and ((top + 1) * (top + 2) - 1).bit_length() + pbits <= 64:
+        for first in range(0, n - h, _CHUNK):
+            last = min(first + _CHUNK, n - h)
+            rank[first:last] = rank[first:last] * np.int32(span) + rank[first + h : last + h] + 1
+        rank[n - h : n] *= span
+        rank[n] = -1
+        return rank, span
+    key = np.empty(n, dtype=np.uint64)
+    rank = rank.view(np.uint32)  # only the sentinel is negative
+    np.multiply(rank[:n], np.uint64(span), out=key)
+    key[: n - h] += rank[h:n]
     key[: n - h] += 1
     return key, span
 
 
 def _ranked(
     key: np.ndarray, span: int, pbits: int, ties: list[np.ndarray] | None = None
-) -> tuple[np.ndarray, int, int]:
-    """The int32 round (ranks, then -1 at index n) of the n keys of
-    ``_pair_key``, with its bound and its number of distinct ranks, counted
-    only when the ranks are made dense (0 for a packed round).  The keys
-    themselves are the round while they fit in int32 and the round after
-    would still fit with a position in 64 bits; otherwise the dense ranks are
-    read off value sorts of (key << pbits) | position, which order equal keys
-    by position.  A sorted round given a list ``ties`` appends to it the
-    int32 positions i and j of each key and the next in that order when they
-    are equal: j is the next occurrence of the window at i.  ``key`` is used
-    up."""
+) -> tuple[np.ndarray, int]:
+    """The int32 round (dense ranks, then -1 at index n) of the n uint64 keys
+    of ``_pair_key``, with its largest rank: the ranks are read off value
+    sorts of (key << pbits) | position, which order equal keys by position.
+    Given a list ``ties``, it appends the int32 positions i and j of each key
+    and the next in that order when they are equal: j is the next occurrence
+    of the window at i.  ``key`` is used up."""
     n = key.size
-    top = span * (span - 1) - 1  # the bound of the keys
     rank = np.empty(n + 1, dtype=np.int32)
     rank[n] = -1
-    if top < 2**31 - 1 and ((top + 1) * (top + 2) - 1).bit_length() + pbits <= 64:
-        rank[:n] = key
-        return rank, top, 0
     # The key with its position fits in 64 bits after the letter round
     # (key < 2^16, pbits <= 30) and after a packed round, which was packed
     # only on that condition (a bound below the round's own, such as its
-    # largest rank, only makes the keys smaller).  Otherwise the ranks come from a sorted round
-    # and are dense, rank and next below n, so the key is below n (n + 1)
-    # < 2^(2 pbits + 1): 3 pbits + 1 bits with the position, which fit when
-    # n <= 2^21.  Past that, two stable LSD passes sort the keys: first the
-    # values (next + 1) << pbits | position, below 2^(2 pbits + 1), then
-    # rank << pbits | index in the first order, below 2^(2 pbits); both fit
-    # for n <= 2^31.  Dense ranks do not depend on how equal keys are ordered.
-    if top.bit_length() + pbits <= 64:
+    # largest rank, only makes the keys smaller).  Otherwise the ranks come
+    # from a sorted round and are dense, rank and next below n, so the key is
+    # below n (n + 1) < 2^(2 pbits + 1): 3 pbits + 1 bits with the position,
+    # which fit when n <= 2^21.  Past that, two stable LSD passes sort the
+    # keys: first the values (next + 1) << pbits | position, below
+    # 2^(2 pbits + 1), then rank << pbits | index in the first order, below
+    # 2^(2 pbits); both fit for n <= 2^31.  Dense ranks do not depend on how
+    # equal keys are ordered.
+    if (span * (span - 1) - 1).bit_length() + pbits <= 64:
         order, new = _sorted_keys(key, pbits)
     else:
         mask = (1 << pbits) - 1
@@ -216,7 +231,7 @@ def _ranked(
     del dense
     if ties is not None:
         ties += _tied_pairs(order, new)
-    return rank, top, top + 1
+    return rank, top
 
 
 def _doubling_ranks(labels: np.ndarray, keep_from: int, width: int) -> list[np.ndarray | None]:
@@ -225,20 +240,25 @@ def _doubling_ranks(labels: np.ndarray, keep_from: int, width: int) -> list[np.n
     the text.  Round 0 is labels - 1 for the n + 1 labels of
     ``_letter_labels``, which must be dense (the early stop reads top + 1 as
     the number of distinct letters).  Each int32 array ends with a -1 at index
-    n that equals no rank.  Round k+1 ranks (rank at i, rank at i + 2^k), by
-    ``_pair_key`` and ``_ranked``: a packed round keeps the key itself, a
-    sorted round its dense rank.  Doubling stops once the windows reach
-    ``width`` letters or all differ; with width n the last round orders the
-    suffixes (an inverse suffix array up to relabelling).
+    n that equals no rank.  Round k+1 ranks (rank at i, rank at i + 2^k) by
+    the keys of ``_pair_key``: a packed round is the int32 keys themselves,
+    a sorted round their dense ranks from ``_ranked``.  Doubling stops once
+    the windows reach ``width`` letters or all differ; with width n the last
+    round orders the suffixes (an inverse suffix array up to relabelling).
 
     Rounds keep_from, keep_from + 2, ... and the last are kept; every other
-    round is None as soon as the next is built.  A dropped round k reads as
+    round is None once the next is built.  A dropped round k reads as
     round k - 1 twice, at i and at i + 2^(k-1): two windows are equal exactly
     when both halves are.  A kept round other than the last with top below
     2^16 - 1, as most are (a word of complexity 2n + 1 has about 3 * 2^k
-    windows of length 2^k), turns uint16 once the next key is built; its
-    sentinel 2^16 - 1 still equals no rank.  The last stays int32, the
-    distinct ranks that ``_lyndon_ends`` reads.
+    windows of length 2^k), is kept as a uint16 copy, made before a packed
+    next round overwrites it; its sentinel 2^16 - 1 still equals no rank.
+    The last stays int32, the distinct ranks that ``_lyndon_ends`` reads.
+    The bound decides as the round's largest value would: a dense round's
+    bound t is its largest rank, a packed round's largest key is at least
+    span times the largest value before it (and 1 after t = 0, a word of one
+    letter), and from no t < 2^16 does a chain of packed rounds reach a
+    bound of 2^16 - 1 or more with that lower bound still below 2^16 - 1.
     """
     n = labels.size - 1
     pbits = (n - 1).bit_length()  # positions are below 2^pbits, and n <= 2^pbits
@@ -249,14 +269,20 @@ def _doubling_ranks(labels: np.ndarray, keep_from: int, width: int) -> list[np.n
     rounds = [rank]
     h = 1
     while h < width and distinct < n:
-        key, span = _pair_key(rank, top, h)
         level = len(rounds) - 1
         if level < keep_from or (level - keep_from) % 2:
             rounds[-1] = None
-        elif top < 2**16 - 1:  # this round's ranks and sentinel fit uint16
+        elif top < 2**16 - 1:  # exactly when the largest value fits (see above)
             rounds[-1] = rank.astype(np.uint16)  # the -1 sentinel wraps to 2^16 - 1
-        del rank  # a dropped round goes before the next round is built
-        rank, top, distinct = _ranked(key, span, pbits)
+        # A round kept in int32 has top >= 2^16 - 1, so the next one is not
+        # packed and leaves it as it is.
+        key, span = _pair_key(rank, top, h, pbits)
+        del rank  # a dropped round goes before the next round is sorted
+        if key.dtype == np.int32:
+            rank, top, distinct = key, span * (span - 1) - 1, 0
+        else:
+            rank, top = _ranked(key, span, pbits)
+            distinct = top + 1
         del key
         rounds.append(rank)
         h *= 2
@@ -375,11 +401,14 @@ def _first_above(values: np.ndarray, p: np.ndarray, v: np.ndarray) -> np.ndarray
     """For each query, the first j >= p[q] with values[j] > v[q], or n when
     there is none; p (int32, p <= n) is overwritten with the answers.
 
-    Rows off[k] + q of the table hold the maximum of the aligned block
-    values[q 2^k : (q + 1) 2^k], under 2n rows in all.  Climbing, level k
-    skips the block at p when bit k of p is set and the block holds no
-    winner, so p stays aligned to 2^(k + 1); the first block that holds a
-    winner is then halved down to its first winner.
+    Rows off[k] + b of the table hold the maximum of the aligned block
+    values[b 2^k : (b + 1) 2^k], under 2n rows in all.  Climbing, level k
+    tests the block that holds the query's position; when the block holds
+    no winner, the position moves to its end, which the block of the next
+    level holds or starts at.  Only blocks without a winner are passed over,
+    so the first block that holds one is then halved down to its first
+    winner.  The open queries are compacted once a level, and the winners
+    are kept by level, so each step of the descent reads a prefix of them.
     """
     n = values.size
     sizes = [n]
@@ -393,21 +422,29 @@ def _first_above(values: np.ndarray, p: np.ndarray, v: np.ndarray) -> np.ndarray
         pairs = sizes[k - 1] // 2
         np.maximum(below[0 : 2 * pairs : 2], below[1 : 2 * pairs : 2], out=here[:pairs])
         here[pairs:] = below[2 * pairs :]
-    level = np.full(p.size, -1, dtype=np.int8)  # level of the first block holding a winner
-    live = np.flatnonzero(p < n).astype(np.int32)
+    q = np.flatnonzero(p < n).astype(np.int32)  # the open queries, their positions and values
+    at, above = p[q], v[q]
+    found = []  # per level k: the queries whose block there holds a winner, its start, v
     k = 0
-    while live.size:
-        at = live[(p[live] >> k) & 1 == 1]
-        won = tab[off[k] + (p[at] >> k)] > v[at]
-        level[at[won]] = k
-        p[at[~won]] += 1 << k
-        live = live[(level[live] < 0) & (p[live] < n)]
+    while q.size:
+        block = at >> k
+        won = tab[off[k] + block] > above
+        found.append((q[won], block[won] << k, above[won]))
+        block += 1
+        block <<= k  # the end of the block, where the next level goes on
+        miss = ~won & (block < n)
+        q, at, above = q[miss], block[miss], above[miss]
         k += 1
-    for k in range(k - 1, 0, -1):
-        at = np.flatnonzero(level >= k)
-        won = tab[off[k - 1] + (p[at] >> (k - 1))] > v[at]
-        p[at[~won]] += 1 << (k - 1)
-    p[level < 0] = n
+    p[:] = n
+    if not found:
+        return p
+    q, at, above = (np.concatenate(column[::-1]) for column in zip(*found))
+    reach = list(accumulate(len(level[0]) for level in found[::-1]))
+    for k in range(len(found) - 1, 0, -1):
+        part = at[: reach[-k - 1]]  # the winners found at level k or above
+        passed = tab[off[k - 1] + (part >> (k - 1))] <= above[: part.size]
+        part += passed.astype(np.int32) << (k - 1)
+    p[q] = at
     return p
 
 
@@ -415,8 +452,8 @@ def _first_above(values: np.ndarray, p: np.ndarray, v: np.ndarray) -> np.ndarray
 # within 16 positions on the silver 3iet word (eps = sqrt2 - 1, ell = 7/10,
 # 2e5 letters), 92% on a characteristic word (3e5 letters, partial
 # quotients 1..4).  At 1e6 letters of either word `_lyndon_ends` took
-# 120-140 ms with a reach of 8 or 16, 270-280 ms with none and 175-200 ms
-# with 32 (2-core x86-64 VM).
+# 34-39 ms with a reach of 16, 36-45 ms with 32, 39-47 ms with 8 and
+# 120-150 ms with none (best of seven, two runs; 2-core x86-64 VM).
 SHORT_ENDS = 16
 
 
@@ -429,20 +466,27 @@ def _lyndon_ends(isa: np.ndarray) -> np.ndarray:
     lies on the other side of isa[i] than isa[i + 1]: isa[j] > isa[i]
     differs from rising[i] = isa[i + 1] > isa[i].  Contiguous comparisons
     of isa[d:] with isa[:-d] for d = 2..SHORT_ENDS settle every end within
-    SHORT_ENDS positions, the smallest such d winning.  The open positions
-    search from i + SHORT_ENDS + 1 for the first greater value in isa, or
-    in ~isa = -1 - isa for a smaller rank; isa is inverted in place for that
-    search and back after it, so no copy is made.
+    SHORT_ENDS positions, the smallest such d winning.  They compare into
+    two byte arrays inside the ends buffer, before ends is written, and
+    store d by int8 arithmetic, several times faster than a masked copy.
+    The open positions search from i + SHORT_ENDS + 1 for the first greater
+    value in isa, or in ~isa = -1 - isa for a smaller rank; isa is inverted
+    in place for that search and back after it, so no copy is made.
     """
     n = isa.size
     rising = isa[1:] > isa[:-1]
     dist = np.zeros(n - 1, dtype=np.int8)
+    ends = np.empty(n - 1, dtype=np.int32)
+    scratch = ends.view(np.uint8)
+    hit, step = scratch[: n - 1].view(bool), scratch[n - 1 : 2 * n - 2].view(np.int8)
     for d in range(min(SHORT_ENDS, n - 1), 1, -1):
-        hit = isa[d:] > isa[:-d]
-        hit ^= rising[: n - d]
-        np.copyto(dist[: n - d], d, where=hit)
-    ends = np.arange(n - 1, dtype=np.int32)
-    ends += dist
+        here, add, near = hit[: n - d], step[: n - d], dist[: n - d]
+        np.greater(isa[d:], isa[:-d], out=here)
+        np.not_equal(here, rising[: n - d], out=here)
+        np.subtract(d, near, out=add)
+        add *= here
+        near += add  # near = d where here
+    np.add(np.arange(n - 1, dtype=np.int32), dist, out=ends)
     at = np.flatnonzero(dist == 0).astype(np.int32)
     up = rising[at]
     for q in (at[~up], at[up]):
@@ -499,19 +543,26 @@ def _candidates(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     f = _extensions(rounds, _packed_letters(labels, m), m, jj, forward=True)
     labels[:n] = labels[n - 1 :: -1]
     b = _extensions(rounds, _packed_letters(labels, m)[::-1], m, jj, forward=False)
-    # No block and no pair with f + b >= j - i: no run.  `period` is built
-    # only once the rounds are freed, which keeps the process peak lower.
+    # No block and no pair with f + b >= j - i: no run.  The periods are
+    # taken only once the rounds are freed, in place of jj, and the kept
+    # candidates are built in place of their gathers, which keeps the
+    # process peak lower.
     if block_start.size == 0 and not np.any(f + b + np.arange(n - 1, dtype=np.int32) >= jj):
         labels[:n] = labels[n - 1 :: -1]
         del jj, f, b
         return _occurrence_candidates(labels, m, rounds)
     del rounds, labels
-    period = jj - np.arange(n - 1, dtype=np.int32)
-    keep = np.flatnonzero(f + b >= period)
+    jj -= np.arange(n - 1, dtype=np.int32)  # the periods
+    keep = np.flatnonzero(f + b >= jj).astype(np.int32)
+    f, b, period = f[keep], b[keep], jj[keep]
+    del jj
+    f += keep
+    f += period  # the ends
+    keep -= b  # the starts
     return (
-        np.concatenate((block_start, keep.astype(np.int32) - b[keep])),
-        np.concatenate((block_end, jj[keep] + f[keep])),
-        np.concatenate((np.ones(block_start.size, dtype=np.int32), period[keep])),
+        np.concatenate((block_start, keep)),
+        np.concatenate((block_end, f)),
+        np.concatenate((np.ones(block_start.size, dtype=np.int32), period)),
     )
 
 
@@ -536,14 +587,14 @@ def _occurrence_candidates(
     Levels run from the top down, dropping each round once no lower level
     needs it: a pair of level k lifts only through rounds up to k.  A round
     that ``_doubling_ranks`` dropped is rebuilt when its level comes, by one
-    more doubling step from the round below with that round's largest rank
-    as the bound; a sorted step's order is then this level's, and the
-    rebuilt round serves again as the next level's ``after``.  The last
-    round's windows all differ, so its test is
-    skipped and the round may be None.  Windows under m letters are keyed by
-    packed letters (32 bits at most, ranks 31) beside a position in one
-    sort.  The labels, m and rounds are those of ``_candidates``; the rounds
-    are used up.
+    more doubling step from an int32 copy of the round below (a packed step
+    overwrites it) with that round's largest rank as the bound; a sorted
+    step's order is then this level's, and the rebuilt round serves again
+    as the next level's ``after``.  The last round's windows all differ, so
+    its test is skipped and the round may be None.  Windows under m letters
+    are keyed by packed letters (32 bits at most, ranks 31) beside a
+    position in one sort.  The labels, m and rounds are those of
+    ``_candidates``; the rounds are used up.
     """
     n = labels.size - 1
     lift = m.bit_length() - 1
@@ -560,8 +611,9 @@ def _occurrence_candidates(
         ties = []
         if rounds[k] is None and k > lift:
             below = rounds[k - 1]
-            key, span = _pair_key(below, int(below[:n].max()), 1 << (k - 1))
-            rounds[k] = _ranked(key, span, pbits, ties)[0]
+            top = int(below[:n].max())
+            key, span = _pair_key(below.astype(np.int32), top, 1 << (k - 1), pbits)
+            rounds[k] = key if key.dtype == np.int32 else _ranked(key, span, pbits, ties)[0]
             del key
         if not ties:
             key = windows(k).astype(np.uint64)

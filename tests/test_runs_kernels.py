@@ -1,10 +1,11 @@
 """The numpy kernels inside the runs engine against direct references.
 
 `_lyndon_ends` is compared with the sequential next-smaller/next-greater
-walk, and `_extensions` with a letter-by-letter comparison; the doubling
-sort is checked on two words longer than 2^21 letters, where one packed
-sort key uses all 64 bits and where the keys no longer fit and two sorting
-passes take over.
+walk, `_first_above` with a scan, `_extensions` with a letter-by-letter
+comparison, and every kept doubling round with the order of its windows;
+the doubling sort is checked on two words longer than 2^21 letters, where
+one packed sort key uses all 64 bits and where the keys no longer fit and
+two sorting passes take over.
 """
 
 import hashlib
@@ -22,6 +23,7 @@ from ietlab.repetitions import (
     _candidates,
     _doubling_ranks,
     _extensions,
+    _first_above,
     _letter_labels,
     _lyndon_ends,
     _packed_letters,
@@ -132,6 +134,64 @@ def test_doubling_stops_at_the_width(data):
         assert last[a] < last[b] if slices[a] < slices[b] else last[a] == last[b]
 
 
+@ENDS
+@given(st.data())
+def test_every_kept_round_ranks_its_windows(data):
+    # Each round k that is kept ranks the sentinel-padded 2^k-letter windows:
+    # equal values exactly for equal windows, in the order of the windows,
+    # and ends with a sentinel that equals none of them.  Packed rounds
+    # (int32 keys) and sorted rounds (dense ranks) alike; a kept round is
+    # uint16 exactly when its largest value fits beside the sentinel
+    # 2^16 - 1, and the last round is int32.
+    k = data.draw(st.integers(1, 100))
+    text = data.draw(st.text(LETTERS[:k], min_size=1, max_size=80))
+    n = len(text)
+    keep_from = data.draw(st.integers(0, 4))
+    rounds = _doubling_ranks(_letter_labels(np.frombuffer(text.encode("ascii"), np.uint8)),
+                             keep_from, n)
+    assert rounds[-1].dtype == np.int32
+    for level, rank in enumerate(rounds):
+        if rank is None:
+            continue
+        values = rank[:n].tolist()
+        assert int(rank[n]) == (2**16 - 1 if rank.dtype == np.uint16 else -1)
+        if level < len(rounds) - 1:
+            assert (rank.dtype == np.uint16) == (max(values) < 2**16 - 1)
+        size = 2**level
+        windows = [text[i : i + size].ljust(size, "\0") for i in range(n)]
+        order = sorted(range(n), key=windows.__getitem__)
+        for a, b in zip(order, order[1:]):
+            assert values[a] < values[b] if windows[a] < windows[b] else values[a] == values[b]
+
+
+def test_uint16_decision_by_the_bound():
+    # A kept round turns uint16 by its bound, which must decide as its
+    # largest value would.  After a dense round of largest rank t the bound
+    # of each packed round is (b + 1)(b + 2) - 1 for the bound b before, and
+    # its largest key at least (b + 2) times the largest value before (at
+    # least 1 after t = 0); no chain puts the bound at 2^16 - 1 or more and
+    # that lower bound below it.
+    limit = 2**16 - 1
+    for t in range(limit):
+        bound, low = t, t
+        while bound < limit:
+            bound, low = (bound + 1) * (bound + 2) - 1, max(low * (bound + 2), 1)
+        assert low >= limit, t
+
+
+@ENDS
+@given(st.data())
+def test_first_above_matches_a_scan(data):
+    values = data.draw(st.lists(st.integers(-40, 40), min_size=1, max_size=300))
+    n = len(values)
+    queries = data.draw(st.lists(st.tuples(st.integers(0, n), st.integers(-45, 45)), max_size=40))
+    p = np.array([q[0] for q in queries], dtype=np.int32)
+    v = np.array([q[1] for q in queries], dtype=np.int32)
+    got = _first_above(np.array(values, dtype=np.int32), p, v).tolist()
+    assert got == [next((j for j in range(start, n) if values[j] > above), n)
+                   for start, above in queries]
+
+
 def test_packing_widths():
     assert {k: _packing_width(k) for k in ALPHABETS} == ALPHABETS
 
@@ -232,9 +292,9 @@ def test_ties_of_both_sorts(span):
     values = rng.integers(0, 6, size=(2, 3000)) * [[span], [1]]
     key = values.sum(axis=0).astype(np.uint64)
     ties = []
-    rank, top, distinct = _ranked(key.copy(), span, 21, ties)
+    rank, top = _ranked(key.copy(), span, 21, ties)
     order = sorted(range(key.size), key=lambda i: (int(key[i]), i))
-    assert distinct == len(set(key.tolist())) == top + 1
+    assert len(set(key.tolist())) == top + 1
     for a, b in zip(order, order[1:]):
         assert rank[a] < rank[b] if key[a] < key[b] else rank[a] == rank[b]
     pairs = [(a, b) for a, b in zip(order, order[1:]) if key[a] == key[b]]
