@@ -133,7 +133,7 @@ def _threeiet_params(args, kind: str) -> ThreeIetParams:
 # 38-42 measured.  `verify abmp` sorts the windows of two projections of
 # under 2N letters each: under 12 bytes a projection letter while --nmax
 # 2-bit letters fit 64 bits (10.7 measured at --nmax 32), and under 25 past
-# that (prefix doubling; 20.7 measured).  At --nmax 400 it peaked at 56 and
+# that (prefix doubling; 20.8 measured).  At --nmax 400 it peaked at 56 and
 # 64 MiB for N = 1e6 (golden word, ell 4/5: 1.25N projection letters;
 # sqrt(2) - 1, ell 3/5: 1.67N) against an estimate of 84, and at 130 and
 # 164 MiB for N = 4e6 against 238.

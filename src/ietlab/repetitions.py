@@ -122,6 +122,13 @@ def _sorted_keys(key: np.ndarray, pbits: int) -> tuple[np.ndarray, np.ndarray]:
     return key.view(np.int64), new
 
 
+def _first_of_each_value(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from their predecessor."""
+    mask = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=mask[1:])
+    return mask
+
+
 def _tied_pairs(order: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """int32 (order[t], order[t + 1]) for each t where new[t] is false, the
     equal neighbours of a sorted order; gathered in ``_CHUNK`` slices, so
@@ -674,7 +681,7 @@ def max_runs(prefix: Word) -> list[Run]:
     start, end, period = _candidates(prefix.text)
     key = start.astype(np.int64) * (len(prefix) + 1) + end
     order = np.lexsort((period, key))
-    chosen = order[np.unique(key[order], return_index=True)[1]]  # the smallest period of each span
+    chosen = order[_first_of_each_value(key[order])]  # the smallest period of each span
     runs = [
         Run(int(s), int(p), int(e - s))
         for s, e, p in zip(start[chosen], end[chosen], period[chosen])

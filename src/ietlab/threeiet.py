@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ParameterError
 from .exactreal import QuadraticReal, cf_expand, require_same_field
 from .repetitions import word_index_estimate
-from .sturmian import SturmianParams, _orbit_word, sturmian_word
+from .sturmian import SturmianParams, _orbit_word, _require_unit_interval, sturmian_word
 from .words import (
     BINARY,
     SPLIT_B01,
@@ -53,8 +53,7 @@ def validate_params(
     require_same_field(("epsilon", epsilon), ("ell", ell), ("x0", x0))
     if epsilon.is_rational:
         raise ParameterError("epsilon must be irrational (nonzero square-root part)")
-    if not (epsilon.sign() > 0 and (epsilon - 1).sign() < 0):
-        raise ParameterError("epsilon must lie in (0, 1)")
+    _require_unit_interval(epsilon, "epsilon", closed_left=False)
     one_minus = 1 - epsilon
     larger = epsilon if (epsilon - one_minus).sign() >= 0 else one_minus
     if (ell - larger).sign() <= 0:

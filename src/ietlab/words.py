@@ -7,7 +7,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .repetitions import _doubling_ranks, _letter_labels
+from .repetitions import _doubling_ranks, _first_of_each_value, _letter_labels, _sorted_keys
 
 BINARY = ("0", "1")
 TERNARY = ("A", "B", "C")
@@ -119,9 +119,9 @@ def _factor_pass(word: Word, depth: int, balance: bool = False) -> tuple[list[in
     so p(n) = c(n) - n + 2.
 
     Windows of more than 64 bits are cut into chunks of 32 // b letters
-    and ordered by the last round, the only one kept, of the runs
-    engine's ``_doubling_ranks`` over the dense ``_letter_labels`` of the
-    letter indices, stopped at 2^K >= depth letters: any lexicographic
+    and ordered by ``_sorted_keys`` on the last round, the only one kept,
+    of the runs engine's ``_doubling_ranks`` over the dense ``_letter_labels``
+    of the letter indices, stopped at 2^K >= depth letters: any lexicographic
     order keeps the windows with a common prefix adjacent.  A neighbour
     pair's common prefix then ends in the first chunk whose codes differ.
 
@@ -161,10 +161,11 @@ def _factor_pass(word: Word, depth: int, balance: bool = False) -> tuple[list[in
             shifts = (bits * (depth - 1 - np.arange(first, last))).astype(distinct.dtype)
             return (distinct >> shifts[:, None]) & ((1 << bits) - 1)
     else:
-        rank = _doubling_ranks(_letter_labels(letters[: len(text)]), depth, depth)[-1][:-1]
-        order = np.argsort(rank)
-        starts = order[_first_of_each_value(rank[order])]
-        del rank, order
+        # The round's packed keys (< 2^31) or dense ranks (< n) fit in 64 bits with positions.
+        key = _doubling_ranks(_letter_labels(letters[: len(text)]), depth, depth)[-1]
+        order, new = _sorted_keys(key[:-1].astype(np.uint64), (len(text) - 1).bit_length())
+        starts = order[np.concatenate(([True], new))]  # each window's first start
+        del key, order, new
         codes = (_window_codes(letters, starts, len(starts), first, last, bits)
                  for first, last in spans)
         size = len(starts)
@@ -222,13 +223,6 @@ def _window_codes(letters: np.ndarray, starts, size: int, first: int, last: int,
         key <<= bits
         key |= letters[j:][starts]
     return key
-
-
-def _first_of_each_value(ordered: np.ndarray) -> np.ndarray:
-    """Mask of the entries of a sorted array that differ from their predecessor."""
-    mask = np.ones(len(ordered), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=mask[1:])
-    return mask
 
 
 class Morphism:

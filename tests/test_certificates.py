@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from ietlab import words as words_module
 from ietlab.errors import ParameterError
-from ietlab.threeiet import NotAmicable, ternarize
+from ietlab.exactreal import QuadraticReal
+from ietlab.threeiet import NotAmicable, ternarize, threeiet_word, validate_params
 from ietlab.words import (
     BINARY,
     SPLIT_B01,
@@ -190,6 +191,13 @@ class TestFactorComplexities:
         # 300 letters of 2 bits are 19 chunks of 16 letters.
         word = Word(fib_char_prefix(20000), BINARY)
         assert word.factor_complexities(300) == list(range(2, 302))
+        # About 2.5e5 letters: positions of 18 bits beside the packed keys.
+        golden = validate_params(QuadraticReal(-1, 1, 5, 2), QuadraticReal(4, 0, 0, 5),
+                                 QuadraticReal(0))
+        word = SPLIT_B01(threeiet_word(golden, 200000))
+        assert len(word) > 2**17
+        for depth in (33, 400):
+            assert word.factor_complexities(depth) == list(range(2, depth + 2)), depth
 
 
 class TestBalance:

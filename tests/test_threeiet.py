@@ -7,7 +7,7 @@ import pytest
 
 from ietlab.errors import ParameterError
 from ietlab.exactreal import QuadraticReal
-from ietlab.sturmian import RotationParams, rotation_word
+from ietlab.sturmian import SturmianParams, sturmian_word
 from ietlab.threeiet import (
     NotAmicable,
     bound_check,
@@ -174,14 +174,22 @@ class TestTernarization:
 
 class TestInducedRotation:
     def test_projection_equals_rotation_word(self):
-        for params in (GOLDEN, SILVER):
-            word = threeiet_word(params, 400)
-            image = SPLIT_B01(word)
-            rot = rotation_word(
-                RotationParams(1 - params.epsilon, params.epsilon, params.x0),
-                len(image),
-            )
-            assert rot == image
+        # B -> 01 codes the orbit of x0 and B -> 10 that of fract(x0 + 1 - ell)
+        # under the exchange of [0, eps) and [eps, 1).
+        cases = [
+            GOLDEN,
+            SILVER,
+            validate_params(PHI_MINUS_1, QuadraticReal(9, 0, 0, 10), QuadraticReal(1, 0, 0, 2)),
+            validate_params(PHI_MINUS_1, 3 * PHI_MINUS_1 - 1, ZERO),  # degenerate
+            validate_params(SQRT2_MINUS_1, QuadraticReal(7, 0, 0, 10), QuadraticReal(1, 0, 0, 10)),
+            validate_params(SQRT2_MINUS_1, QuadraticReal(3, 0, 0, 5), QuadraticReal(1, 0, 0, 3)),
+        ]
+        for params in cases:
+            word = threeiet_word(params, 50000)
+            eps, x0 = params.epsilon, params.x0
+            for split, start in ((SPLIT_B01, x0), (SPLIT_B10, (x0 + 1 - params.ell).fract())):
+                image = split(word)
+                assert image == sturmian_word(SturmianParams(eps, start), len(image)), params
 
 
 class TestProjectionReport:
