@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
@@ -170,8 +171,8 @@ def _pair_key(rank: np.ndarray, top: int, h: int, pbits: int) -> tuple[np.ndarra
     ``pbits`` bits in 64: its keys overwrite ``rank`` as the round itself,
     with -1 at index n, in ascending slices (key i reads rank[i + h], ahead
     of every slice written).  Otherwise they are built in uint64 for
-    ``_ranked`` and ``rank`` is left as it is.  Returned with span; the
-    dtype tells the two apart."""
+    ``_sorted_pairs`` and ``rank`` is left as it is.  Returned with span;
+    the dtype tells the two apart."""
     n = rank.size - 1
     span = top + 2
     top = span * (span - 1) - 1
@@ -190,18 +191,10 @@ def _pair_key(rank: np.ndarray, top: int, h: int, pbits: int) -> tuple[np.ndarra
     return key, span
 
 
-def _ranked(
-    key: np.ndarray, span: int, pbits: int, ties: list[np.ndarray] | None = None
-) -> tuple[np.ndarray, int]:
-    """The int32 round (dense ranks, then -1 at index n) of the n uint64 keys
-    of ``_pair_key``, with its largest rank: the ranks are read off value
-    sorts of (key << pbits) | position, which order equal keys by position.
-    Given a list ``ties``, it appends the int32 positions i and j of each key
-    and the next in that order when they are equal: j is the next occurrence
-    of the window at i.  ``key`` is used up."""
-    n = key.size
-    rank = np.empty(n + 1, dtype=np.int32)
-    rank[n] = -1
+def _sorted_pairs(key: np.ndarray, span: int, pbits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n uint64 keys of ``_pair_key`` in sorted order: their positions,
+    equal keys by position, and the bools new[t], whether the key at t + 1
+    in that order differs from the key at t.  ``key`` is used up."""
     # The key with its position fits in 64 bits after the letter round
     # (key < 2^16, pbits <= 30) and after a packed round, which was packed
     # only on that condition (a bound below the round's own, such as its
@@ -211,34 +204,40 @@ def _ranked(
     # which fit when n <= 2^21.  Past that, two stable LSD passes sort the
     # keys: first the values (next + 1) << pbits | position, below
     # 2^(2 pbits + 1), then rank << pbits | index in the first order, below
-    # 2^(2 pbits); both fit for n <= 2^31.  Dense ranks do not depend on how
-    # equal keys are ordered.
+    # 2^(2 pbits); both fit for n <= 2^31.
     if (span * (span - 1) - 1).bit_length() + pbits <= 64:
-        order, new = _sorted_keys(key, pbits)
-    else:
-        mask = (1 << pbits) - 1
-        order = key % span
-        _packed_sort(order, pbits)
-        order &= mask
-        order = order.view(np.int64)
-        second = key[order]
-        second //= span
-        _packed_sort(second, pbits)
-        second &= mask
-        order = order[second.view(np.int64)]
-        del second
-        ordered = key[order]
-        new = ordered[1:] != ordered[:-1]
-        del ordered
+        return _sorted_keys(key, pbits)
+    mask = (1 << pbits) - 1
+    order = key % span
+    _packed_sort(order, pbits)
+    order &= mask
+    order = order.view(np.int64)
+    second = key[order]
+    second //= span
+    _packed_sort(second, pbits)
+    second &= mask
+    order = order[second.view(np.int64)]
+    del second
+    ordered = key[order]
+    return order, ordered[1:] != ordered[:-1]
+
+
+def _ranked(
+    key: np.ndarray, span: int, pbits: int
+) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """The int32 round (dense ranks, then -1 at index n) of the n uint64 keys
+    of ``_pair_key``, its largest rank, and the (order, new) of
+    ``_sorted_pairs`` it was read from, whose ties pair each window with its
+    next occurrence.  ``key`` is used up."""
+    n = key.size
+    rank = np.empty(n + 1, dtype=np.int32)  # before the sort: after it, more pages fault per call
+    rank[n] = -1
+    order, new = _sorted_pairs(key, span, pbits)
     dense = np.zeros(n, dtype=np.int32)
     dense[1:] = new
     np.cumsum(dense, out=dense)  # in place: a cumsum of the bools would copy them to int32
     rank[order] = dense  # positions are below 2^63: int64 indices scatter faster
-    top = int(dense[-1])
-    del dense
-    if ties is not None:
-        ties += _tied_pairs(order, new)
-    return rank, top
+    return rank, int(dense[-1]), order, new
 
 
 def _doubling_ranks(labels: np.ndarray, keep_from: int, width: int) -> list[np.ndarray | None]:
@@ -249,9 +248,9 @@ def _doubling_ranks(labels: np.ndarray, keep_from: int, width: int) -> list[np.n
     the number of distinct letters).  Each int32 array ends with a -1 at index
     n that equals no rank.  Round k+1 ranks (rank at i, rank at i + 2^k) by
     the keys of ``_pair_key``: a packed round is the int32 keys themselves,
-    a sorted round their dense ranks from ``_ranked``.  Doubling stops once
-    the windows reach ``width`` letters or all differ; with width n the last
-    round orders the suffixes (an inverse suffix array up to relabelling).
+    a sorted round their dense ranks by ``_ranked`` over ``_sorted_pairs``.
+    Doubling stops once the windows reach ``width`` letters or all differ;
+    with width n the last round is an inverse suffix array up to relabelling.
 
     Rounds keep_from, keep_from + 2, ... and the last are kept; every other
     round is None once the next is built.  A dropped round k reads as
@@ -288,7 +287,7 @@ def _doubling_ranks(labels: np.ndarray, keep_from: int, width: int) -> list[np.n
         if key.dtype == np.int32:
             rank, top, distinct = key, span * (span - 1) - 1, 0
         else:
-            rank, top = _ranked(key, span, pbits)
+            rank, top = _ranked(key, span, pbits)[:2]
             distinct = top + 1
         del key
         rounds.append(rank)
@@ -502,9 +501,11 @@ def _lyndon_ends(isa: np.ndarray) -> np.ndarray:
     return ends
 
 
-def _candidates(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximal periodic segments of exponent >= 2 as int32 (start, end,
-    period), or ``_occurrence_candidates`` from the same rounds without any.
+def _candidates(text: str) -> tuple[tuple[np.ndarray, ...], partial | None]:
+    """(runs, run_free): the maximal periodic segments of exponent >= 2 as
+    int32 (start, end, period), and None; without any, empty arrays and
+    ``_occurrence_candidates`` deferred on the same rounds, which
+    ``word_index_estimate`` runs and ``max_runs`` drops with the rounds.
 
     Order 0 is the letter order with end-of-text smallest; order 1 is its
     exact reverse (letters reversed, end-of-text largest), so its suffix
@@ -557,7 +558,7 @@ def _candidates(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if block_start.size == 0 and not np.any(f + b + np.arange(n - 1, dtype=np.int32) >= jj):
         labels[:n] = labels[n - 1 :: -1]
         del jj, f, b
-        return _occurrence_candidates(labels, m, rounds)
+        return np.empty((3, 0), dtype=np.int32), partial(_occurrence_candidates, labels, m, rounds)
     del rounds, labels
     jj -= np.arange(n - 1, dtype=np.int32)  # the periods
     keep = np.flatnonzero(f + b >= jj).astype(np.int32)
@@ -570,7 +571,7 @@ def _candidates(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         np.concatenate((block_start, keep)),
         np.concatenate((block_end, f)),
         np.concatenate((np.ones(block_start.size, dtype=np.int32), period)),
-    )
+    ), None
 
 
 def _occurrence_candidates(
@@ -596,12 +597,12 @@ def _occurrence_candidates(
     that ``_doubling_ranks`` dropped is rebuilt when its level comes, by one
     more doubling step from an int32 copy of the round below (a packed step
     overwrites it) with that round's largest rank as the bound; a sorted
-    step's order is then this level's, and the rebuilt round serves again
-    as the next level's ``after``.  The last round's windows all differ, so
-    its test is skipped and the round may be None.  Windows under m letters
-    are keyed by packed letters (32 bits at most, ranks 31) beside a
-    position in one sort.  The labels, m and rounds are those of
-    ``_candidates``; the rounds are used up.
+    step hands back its sort, which is then this level's, and the rebuilt
+    round serves again as the next level's ``after``.  The last round's
+    windows all differ, so its test is skipped and the round may be None.
+    Windows under m letters are keyed by packed letters (32 bits at most,
+    ranks 31) beside a position in one sort.  The labels, m and rounds are
+    those of ``_candidates``; the rounds are used up.
     """
     n = labels.size - 1
     lift = m.bit_length() - 1
@@ -615,19 +616,19 @@ def _occurrence_candidates(
     best = [(1, 1, 0)]
     last = len(rounds) - 1
     for k in range(last - 1, -1, -1):
-        ties = []
+        sort = None
         if rounds[k] is None and k > lift:
             below = rounds[k - 1]
             top = int(below[:n].max())
             key, span = _pair_key(below.astype(np.int32), top, 1 << (k - 1), pbits)
-            rounds[k] = key if key.dtype == np.int32 else _ranked(key, span, pbits, ties)[0]
+            if key.dtype == np.uint64:
+                key, _, *sort = _ranked(key, span, pbits)
+            rounds[k] = key
             del key
-        if not ties:
-            key = windows(k).astype(np.uint64)
-            ties = _tied_pairs(*_sorted_keys(key, pbits))
-            del key
-        i, j = ties
-        del ties
+        if sort is None:
+            sort = _sorted_keys(windows(k).astype(np.uint64), pbits)
+        i, j = _tied_pairs(*sort)
+        del sort
         keep = labels[i - 1] != labels[j - 1]  # labels[-1] is end-of-text
         if k + 1 < last:
             after = windows(k + 1)
@@ -678,15 +679,12 @@ def max_runs(prefix: Word) -> list[Run]:
     """All maximal repetitions of exponent >= 2, sorted by start then period."""
     if len(prefix) < 1:
         raise ParameterError("word must be nonempty")
-    start, end, period = _candidates(prefix.text)
+    start, end, period = _candidates(prefix.text)[0]
     key = start.astype(np.int64) * (len(prefix) + 1) + end
     order = np.lexsort((period, key))
     chosen = order[_first_of_each_value(key[order])]  # the smallest period of each span
-    runs = [
-        Run(int(s), int(p), int(e - s))
-        for s, e, p in zip(start[chosen], end[chosen], period[chosen])
-        if e - s >= 2 * p  # a run-free word's candidates have exponent below 2
-    ]
+    runs = [Run(int(s), int(p), int(e - s))
+            for s, e, p in zip(start[chosen], end[chosen], period[chosen])]
     runs.sort(key=lambda run: (run.start, run.period))
     return runs
 
@@ -699,7 +697,8 @@ def word_index_estimate(prefix: Word) -> IndexReport:
     """
     if len(prefix) < 1:
         raise ParameterError("word must be nonempty")
-    length, period, start = _best_extension(*_candidates(prefix.text))
+    runs, run_free = _candidates(prefix.text)
+    length, period, start = _best_extension(*(runs if run_free is None else run_free()))
     return IndexReport(
         prefix_length=len(prefix),
         index_estimate=Fraction(length, period),

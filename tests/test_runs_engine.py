@@ -53,7 +53,8 @@ def check_engine(text):
     runs = [(r.start, r.period, r.length) for r in max_runs(word)]
     assert runs == naive_runs(text)
     assert word_index_estimate(word).index_estimate == naive_index(text)
-    assert _candidates(text)[0].size <= 2 * len(text)
+    candidates, run_free = _candidates(text)
+    assert candidates[0].size <= 2 * len(text) and (run_free is None) == bool(runs)
     return runs
 
 
@@ -197,6 +198,19 @@ def test_square_free_words_match_the_sweep(text):
         max_power_witness=text[start : start + period],
     )
     assert Fraction(length, period) == naive_index(text)
+
+
+def test_max_runs_leaves_the_run_free_search_unrun(monkeypatch):
+    text = vtm_prefix(5000)
+
+    def refused(*args):
+        raise AssertionError("max_runs ran _occurrence_candidates")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(repetitions, "_occurrence_candidates", refused)
+        assert max_runs(Word.from_text(text)) == []
+    witness = word_index_estimate(Word.from_text(text)).witness
+    assert (witness.length, witness.period, witness.start) == fractional_best(text)
 
 
 def test_square_free_index_through_the_cli_in_time(tmp_path):

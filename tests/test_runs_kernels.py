@@ -29,6 +29,8 @@ from ietlab.repetitions import (
     _packed_letters,
     _packing_width,
     _ranked,
+    _sorted_pairs,
+    _tied_pairs,
     word_index_estimate,
 )
 from ietlab.sturmian import characteristic_prefix
@@ -291,8 +293,8 @@ def test_ties_of_both_sorts(span):
     rng = np.random.default_rng(span)
     values = rng.integers(0, 6, size=(2, 3000)) * [[span], [1]]
     key = values.sum(axis=0).astype(np.uint64)
-    ties = []
-    rank, top = _ranked(key.copy(), span, 21, ties)
+    rank, top = _ranked(key.copy(), span, 21)[:2]
+    ties = _tied_pairs(*_sorted_pairs(key.copy(), span, 21))
     order = sorted(range(key.size), key=lambda i: (int(key[i]), i))
     assert len(set(key.tolist())) == top + 1
     for a, b in zip(order, order[1:]):
