@@ -19,13 +19,11 @@ from .sturmian import (
     BlockParse,
     IndexFormulaResult,
     RotationParams,
-    SturmianParams,
     block_decompose,
     characteristic_prefix,
     rotation_word,
     standard_word,
     sturmian_index_formula,
-    sturmian_word,
 )
 from .threeiet import (
     BoundReport,
@@ -35,7 +33,6 @@ from .threeiet import (
     bound_check,
     ternarize,
     threeiet_word,
-    validate_params,
     verify_projections,
 )
 from .words import (
@@ -74,7 +71,6 @@ __all__ = [
     "Run",
     "SPLIT_B01",
     "SPLIT_B10",
-    "SturmianParams",
     "TERNARY",
     "ThreeIetParams",
     "Word",
@@ -91,10 +87,8 @@ __all__ = [
     "standard_word",
     "sturmian_certificates",
     "sturmian_index_formula",
-    "sturmian_word",
     "ternarize",
     "threeiet_word",
-    "validate_params",
     "verify_projections",
     "word_index_estimate",
 ]

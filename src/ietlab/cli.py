@@ -28,21 +28,19 @@ from .repetitions import brute_force_index, word_index_estimate
 from .sturmian import (
     MAX_LETTERS,
     RotationParams,
-    SturmianParams,
+    _require_unit_interval,
     block_decompose,
     characteristic_prefix,
     require_length,
     rotation_word,
     standard_word,
     sturmian_index_formula,
-    sturmian_word,
 )
 from .threeiet import (
     ThreeIetParams,
     bound_check,
     index_bounds,
     threeiet_word,
-    validate_params,
     verify_projections,
 )
 from .words import Word, rotation_coding_morphism
@@ -109,9 +107,9 @@ def _require(args, names: dict[str, str], kind: str):
 def _validate_flags(
     eps: QuadraticReal, ell: QuadraticReal, x0: QuadraticReal
 ) -> ThreeIetParams:
-    """``validate_params``, naming the flags of a field mismatch."""
+    """``ThreeIetParams``, naming the flags of a field mismatch."""
     require_same_field(("--eps", eps), ("--ell", ell), ("--x0", x0))
-    return validate_params(eps, ell, x0)
+    return ThreeIetParams(eps, ell, x0)
 
 
 def _threeiet_params(args, kind: str) -> ThreeIetParams:
@@ -236,7 +234,10 @@ def _build_word(args) -> Word:
         eps = _number(args.eps, "--eps")
         x0 = _number(args.x0, "--x0")
         require_same_field(("--eps", eps), ("--x0", x0))
-        return sturmian_word(SturmianParams(eps, x0), args.length)
+        if eps.is_rational:
+            raise ParameterError("epsilon must be irrational")
+        _require_unit_interval(eps, "epsilon", closed_left=False)
+        return rotation_word(RotationParams(1 - eps, eps, x0), args.length)
     if kind == "rotation":
         _require(args, {"alpha": "--alpha", "beta": "--beta", "length": "-N"}, "generate rotation")
         alpha = _number(args.alpha, "--alpha")

@@ -1,10 +1,10 @@
 """Rotation-coded binary words, standard words, and their repetition formula.
 
 The rotation coding writes letter 0 exactly when the orbit point falls in
-[0, beta).  The two-interval exchange with parameter eps is the special
-case alpha = 1 - eps, beta = eps; its distinguished fixed word of the same
-slope is built from the standard-word recursion driven by the continued
-fraction of eps.
+[0, beta).  The two-interval exchange with parameter eps has no generator of
+its own: its word is ``rotation_word(RotationParams(1 - eps, eps, x0), n)``.
+Its distinguished fixed word of the same slope is built from the
+standard-word recursion driven by the continued fraction of eps.
 """
 
 from __future__ import annotations
@@ -40,21 +40,6 @@ class RotationParams:
         require_same_field(("alpha", self.alpha), ("beta", self.beta), ("x0", self.x0))
         _require_unit_interval(self.alpha, "alpha", closed_left=False)
         _require_unit_interval(self.beta, "beta", closed_left=False)
-        _require_unit_interval(self.x0, "x0", closed_left=True)
-
-
-@dataclass(frozen=True)
-class SturmianParams:
-    """Two-interval exchange parameters; letter 0 is emitted on [0, epsilon)."""
-
-    epsilon: QuadraticReal
-    x0: QuadraticReal
-
-    def __post_init__(self):
-        if self.epsilon.is_rational:
-            raise ParameterError("epsilon must be irrational")
-        require_same_field(("epsilon", self.epsilon), ("x0", self.x0))
-        _require_unit_interval(self.epsilon, "epsilon", closed_left=False)
         _require_unit_interval(self.x0, "x0", closed_left=True)
 
 
@@ -150,12 +135,6 @@ def rotation_word(params: RotationParams, n_letters: int) -> Word:
     """Letters u_i = 0 iff the fractional part of x0 + i*alpha lies in [0, beta)."""
     cuts = ((params.beta, "0"), (QuadraticReal(1), "1"))
     return Word._trusted(_orbit_word(params.x0, params.alpha, cuts, n_letters), BINARY)
-
-
-def sturmian_word(params: SturmianParams, n_letters: int) -> Word:
-    """Coding of the orbit of x0 under the exchange of [0, eps) and [eps, 1)."""
-    rot = RotationParams(1 - params.epsilon, params.epsilon, params.x0)
-    return rotation_word(rot, n_letters)
 
 
 def standard_word(cf: CFExpansion, level: int) -> Word:

@@ -4,11 +4,11 @@ The transformation acts on [0, ell) with three half-open intervals
 
     I_A = [0, ell - 1 + eps),  I_B = [ell - 1 + eps, eps),  I_C = [eps, ell),
 
-translating by 1 - eps, 1 - 2*eps and -eps respectively; parameters must
-satisfy max(eps, 1 - eps) < ell < 1 with eps irrational.  The word coding an
-orbit projects onto two rotation-coded binary words (B split as 01 or 10),
-and those two projections recombine uniquely by ternarization, one
-whole-array pass over the pairs of letters.
+translating by 1 - eps, 1 - 2*eps and -eps respectively.  ``ThreeIetParams``
+accepts only eps irrational, max(eps, 1 - eps) < ell < 1 and 0 <= x0 < ell.
+The word coding an orbit projects onto two rotation-coded binary words (B
+split as 01 or 10), and those two projections recombine uniquely by
+ternarization, one whole-array pass over the pairs of letters.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ParameterError
 from .exactreal import QuadraticReal, cf_expand, require_same_field
 from .repetitions import word_index_estimate
-from .sturmian import SturmianParams, _orbit_word, _require_unit_interval, sturmian_word
+from .sturmian import RotationParams, _orbit_word, _require_unit_interval, rotation_word
 from .words import (
     BINARY,
     SPLIT_B01,
@@ -34,40 +34,37 @@ from .words import (
 
 @dataclass(frozen=True)
 class ThreeIetParams:
-    """Validated parameters (eps, ell, x0) of a three-interval exchange."""
+    """Parameters (eps, ell, x0) of a three-interval exchange, checked on
+    construction (``dataclasses.replace`` included)."""
 
     epsilon: QuadraticReal
     ell: QuadraticReal
     x0: QuadraticReal
 
+    def __post_init__(self):
+        epsilon, ell, x0 = self.epsilon, self.ell, self.x0
+        require_same_field(("epsilon", epsilon), ("ell", ell), ("x0", x0))
+        if epsilon.is_rational:
+            raise ParameterError("epsilon must be irrational (nonzero square-root part)")
+        _require_unit_interval(epsilon, "epsilon", closed_left=False)
+        one_minus = 1 - epsilon
+        larger = epsilon if (epsilon - one_minus).sign() >= 0 else one_minus
+        if (ell - larger).sign() <= 0:
+            raise ParameterError(
+                "ell must satisfy max(epsilon, 1 - epsilon) < ell < 1 "
+                "(ell <= max(epsilon, 1 - epsilon))"
+            )
+        if (ell - 1).sign() >= 0:
+            raise ParameterError(
+                "ell must satisfy max(epsilon, 1 - epsilon) < ell < 1 (ell >= 1)"
+            )
+        if x0.sign() < 0 or (x0 - ell).sign() >= 0:
+            raise ParameterError("x0 must lie in [0, ell)")
+
     @property
     def boundary_ab(self) -> QuadraticReal:
         """Left endpoint of I_B, which is ell - 1 + eps."""
         return self.ell - 1 + self.epsilon
-
-
-def validate_params(
-    epsilon: QuadraticReal, ell: QuadraticReal, x0: QuadraticReal
-) -> ThreeIetParams:
-    """Check the parameter constraints and package the triple."""
-    require_same_field(("epsilon", epsilon), ("ell", ell), ("x0", x0))
-    if epsilon.is_rational:
-        raise ParameterError("epsilon must be irrational (nonzero square-root part)")
-    _require_unit_interval(epsilon, "epsilon", closed_left=False)
-    one_minus = 1 - epsilon
-    larger = epsilon if (epsilon - one_minus).sign() >= 0 else one_minus
-    if (ell - larger).sign() <= 0:
-        raise ParameterError(
-            "ell must satisfy max(epsilon, 1 - epsilon) < ell < 1 "
-            "(ell <= max(epsilon, 1 - epsilon))"
-        )
-    if (ell - 1).sign() >= 0:
-        raise ParameterError(
-            "ell must satisfy max(epsilon, 1 - epsilon) < ell < 1 (ell >= 1)"
-        )
-    if x0.sign() < 0 or (x0 - ell).sign() >= 0:
-        raise ParameterError("x0 must lie in [0, ell)")
-    return ThreeIetParams(epsilon, ell, x0)
 
 
 def threeiet_word(params: ThreeIetParams, n_letters: int) -> Word:
@@ -212,7 +209,8 @@ def verify_projections(
 
     c01, bal01 = certified(b01)
     c10, bal10 = certified(b10)
-    rot = sturmian_word(SturmianParams(params.epsilon, params.x0), len(b01))
+    eps = params.epsilon
+    rot = rotation_word(RotationParams(1 - eps, eps, params.x0), len(b01))
     return ProjectionReport(
         prefix_length=n_letters,
         certificate_depth=depth,

@@ -21,9 +21,9 @@ from ietlab.sturmian import (
     sturmian_index_formula,
 )
 from ietlab.threeiet import (
+    ThreeIetParams,
     ternarize,
     threeiet_word,
-    validate_params,
     verify_projections,
 )
 from ietlab.words import BINARY, SPLIT_B01, SPLIT_B10, TERNARY, Word
@@ -89,7 +89,7 @@ def test_c3_projection_checks_across_parameter_grid():
             if (ell - larger).sign() <= 0:
                 continue  # the constraint max(eps, 1-eps) < ell excludes this pair
             for x0 in x0s:
-                triples.append(validate_params(eps, ell, x0))
+                triples.append(ThreeIetParams(eps, ell, x0))
     failures = [
         params for params in triples
         if not verify_projections(params, 500, 12).passed
@@ -109,7 +109,7 @@ def test_c4_and_c5_bound_verdicts_and_convergence_witness():
     details = []
     ok = True
     for eps, ell, largest in cases:
-        params = validate_params(eps, ell, ZERO)
+        params = ThreeIetParams(eps, ell, ZERO)
         word = threeiet_word(params, 10**5)
         rep = word_index_estimate(word)
         ok &= rep.index_estimate <= largest + 3
@@ -153,7 +153,7 @@ def test_c6_oracle_equivalence():
         Word.from_text("aaaa"),
         characteristic_prefix(golden_cf, 300),
         characteristic_prefix(cf_expand(SILVER_EPS, 30), 300),
-        threeiet_word(validate_params(GOLDEN_EPS, QuadraticReal(4, 0, 0, 5), ZERO), 300),
+        threeiet_word(ThreeIetParams(GOLDEN_EPS, QuadraticReal(4, 0, 0, 5), ZERO), 300),
         rotation_word(RotationParams(QuadraticReal(3, -1, 5, 2), GOLDEN_EPS, ZERO), 300),
     ]
     for word in goldens:
@@ -210,7 +210,7 @@ def test_c8_collapsed_image_index_divergence(capsys):
 
 
 def test_c9_exact_orbit_against_decimal_recomputation():
-    params = validate_params(SILVER_EPS, QuadraticReal(7, 0, 0, 10), ZERO)
+    params = ThreeIetParams(SILVER_EPS, QuadraticReal(7, 0, 0, 10), ZERO)
     mp.dps = 60
     eps_mp = (sqrt(2) - 1)
     ell_mp = mpf(7) / 10

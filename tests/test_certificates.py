@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ietlab import words as words_module
 from ietlab.errors import ParameterError
 from ietlab.exactreal import QuadraticReal
-from ietlab.threeiet import NotAmicable, ternarize, threeiet_word, validate_params
+from ietlab.threeiet import NotAmicable, ThreeIetParams, ternarize, threeiet_word
 from ietlab.words import (
     BINARY,
     SPLIT_B01,
@@ -192,8 +192,8 @@ class TestFactorComplexities:
         word = Word(fib_char_prefix(20000), BINARY)
         assert word.factor_complexities(300) == list(range(2, 302))
         # About 2.5e5 letters: positions of 18 bits beside the packed keys.
-        golden = validate_params(QuadraticReal(-1, 1, 5, 2), QuadraticReal(4, 0, 0, 5),
-                                 QuadraticReal(0))
+        golden = ThreeIetParams(QuadraticReal(-1, 1, 5, 2), QuadraticReal(4, 0, 0, 5),
+                                QuadraticReal(0))
         word = SPLIT_B01(threeiet_word(golden, 200000))
         assert len(word) > 2**17
         for depth in (33, 400):
@@ -352,9 +352,9 @@ class TestTernarization:
 def test_peak_memory_of_the_abmp_certificates():
     script = PEAK_KIB_SOURCE + (
         "from ietlab.exactreal import QuadraticReal\n"
-        "from ietlab.threeiet import validate_params, verify_projections\n"
-        "params = validate_params(QuadraticReal(-1, 1, 5, 2), QuadraticReal(403, 0, 0, 500),\n"
-        "                         QuadraticReal(16, 0, 0, 125))\n"
+        "from ietlab.threeiet import ThreeIetParams, verify_projections\n"
+        "params = ThreeIetParams(QuadraticReal(-1, 1, 5, 2), QuadraticReal(403, 0, 0, 500),\n"
+        "                        QuadraticReal(16, 0, 0, 125))\n"
         "before = peak_kib()\n"
         "assert verify_projections(params, 200000, 12).passed\n"
         "print(peak_kib() - before)\n"

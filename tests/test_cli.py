@@ -395,6 +395,57 @@ class TestExperiments:
         assert len(content.strip().split("\n")) == 2
 
 
+NO_PERIOD_EPS = "(-3162+1*sqrt(10000036))/1"  # continued-fraction period 4910
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("generate", "characteristic", "--cf", "0,a", "-N", "5"),
+     "--cf: coefficients must be integers"),
+    (("generate", "characteristic", "--cf", "1,2", "-N", "5"),
+     "--cf: the leading coefficient must be 0 (values in (0,1))"),
+    (("generate", "characteristic", "--cf", "0,0", "-N", "5"),
+     "--cf: partial quotients after the first must be >= 1"),
+    (("generate", "characteristic", "--cf", "0", "-N", "5"),
+     "--cf: at least one partial quotient is required"),
+    (("verify", "theorem3", "-N", "20"), "verify theorem3 requires --eps or --cf"),
+    (("verify", "theorem3", "--cf", "0,1,2", "--nmax", "5", "-N", "20"),
+     "not enough continued-fraction coefficients"),
+    (("experiment", "bounds-grid", "--eps", ",", "--ell", "7/10", "-N", "100"),
+     "--eps: empty list"),
+    (("experiment", "index-convergence", "--eps", GOLDEN_EPS, "--ell", "4/5",
+      "--lengths", "10,x"), "--lengths: entries must be integers"),
+    (("experiment", "index-convergence", "--eps", GOLDEN_EPS, "--ell", "4/5",
+      "--lengths", ","), "--lengths: empty list"),
+])
+def test_flag_values_refused(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "bounds", "--eps", NO_PERIOD_EPS, "--ell", "9/10", "-N", "1000"),
+    ("experiment", "index-convergence", "--eps", NO_PERIOD_EPS, "--ell", "9/10",
+     "--lengths", "100,1000"),
+])
+def test_bounds_without_a_period_refused_in_time(capsys, argv):
+    # the period is past MAX_CF_STATES, so K, and with it both bounds, is unknown
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out, err) == (2, "", "error: the continued-fraction period of epsilon was "
+                                       "not found; the largest coefficient would not be exact\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--eps", "1/2"), "epsilon must be irrational"),
+    (("--eps", "(1+1*sqrt(5))/2"), "epsilon must lie in (0, 1)"),
+    (("--eps", GOLDEN_EPS, "--x0", "1"), "x0 must lie in [0, 1)"),
+    (("--eps", GOLDEN_EPS, "--x0", "(0+1*sqrt(2))/2"),
+     "--eps and --x0 lie in different quadratic fields (sqrt(5), sqrt(2))"),
+])
+def test_sturmian_parameters_refused(capsys, argv, message):
+    assert run(capsys, "generate", "sturmian", *argv, "-N", "5") == (2, "", f"error: {message}\n")
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["generate"])

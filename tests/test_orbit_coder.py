@@ -11,13 +11,13 @@ from ietlab import sturmian
 from ietlab.errors import ParameterError
 from ietlab.exactreal import QuadraticReal
 from ietlab.sturmian import MAX_LETTERS, RotationParams, rotation_word
-from ietlab.threeiet import threeiet_word, validate_params
+from ietlab.threeiet import ThreeIetParams, threeiet_word
 
 from oracles import rotation_pieces, sequential_orbit_word, threeiet_pieces
 
 SQRT2_MINUS_1 = QuadraticReal(-1, 1, 2, 1)
 PHI_MINUS_1 = QuadraticReal(-1, 1, 5, 2)
-GOLDEN = validate_params(PHI_MINUS_1, QuadraticReal(4, 0, 0, 5), QuadraticReal(0))
+GOLDEN = ThreeIetParams(PHI_MINUS_1, QuadraticReal(4, 0, 0, 5), QuadraticReal(0))
 HALF, THIRD = QuadraticReal(1, 0, 0, 2), QuadraticReal(1, 0, 0, 3)
 BELOW_FIXED_POINT = QuadraticReal(1, 0, 0, 2**70)  # 2^-70, finer than 2^-64
 
@@ -75,7 +75,7 @@ class TestExactTies:
 
     @pytest.mark.parametrize("start", ["boundary_ab", "epsilon"])
     def test_threeiet_started_on_a_cut(self, rechecked, start):
-        params = validate_params(GOLDEN.epsilon, GOLDEN.ell, getattr(GOLDEN, start))
+        params = ThreeIetParams(GOLDEN.epsilon, GOLDEN.ell, getattr(GOLDEN, start))
         word = threeiet_word(params, 500)
         assert 0 in rechecked
         assert word.text == sequential_orbit_word(params.x0, threeiet_pieces(params), 500)
@@ -131,7 +131,7 @@ def exchanges(draw):
         cut = draw(st.sampled_from((ell - 1 + eps, eps, ell)))
         x0 = (cut - draw(st.integers(0, n - 1)) * (1 - eps)).fract()
         assume((x0 - ell).sign() < 0)
-    return validate_params(eps, ell, x0), n
+    return ThreeIetParams(eps, ell, x0), n
 
 
 PROPERTY = settings(max_examples=60, deadline=None,
@@ -173,7 +173,7 @@ class TestSmallBlocks:
 
     @pytest.mark.parametrize("ell", [QuadraticReal(4, 0, 0, 5), QuadraticReal(2, 0, 0, 3)])
     def test_threeiet_deletions_across_block_ends(self, small_blocks, ell):
-        params = validate_params(PHI_MINUS_1, ell, QuadraticReal(1, 0, 0, 7))
+        params = ThreeIetParams(PHI_MINUS_1, ell, QuadraticReal(1, 0, 0, 7))
         n = 3000
         text = threeiet_word(params, n).text
         assert text == sequential_orbit_word(params.x0, threeiet_pieces(params), n)
@@ -195,7 +195,7 @@ class TestSmallBlocks:
         eps, ell = GOLDEN.epsilon, GOLDEN.ell
         # a start whose rotation orbit hits the cut eps at index k > 128
         k = next(k for k in range(129, 400) if ((eps - k * (1 - eps)).fract() - ell).sign() < 0)
-        params = validate_params(eps, ell, (eps - k * (1 - eps)).fract())
+        params = ThreeIetParams(eps, ell, (eps - k * (1 - eps)).fract())
         text = threeiet_word(params, 2000).text
         assert k in rechecked
         assert text == sequential_orbit_word(params.x0, threeiet_pieces(params), 2000)

@@ -25,7 +25,7 @@ from ietlab.repetitions import (
     word_index_estimate,
 )
 from ietlab.sturmian import RotationParams, characteristic_prefix, rotation_word
-from ietlab.threeiet import threeiet_word, validate_params
+from ietlab.threeiet import ThreeIetParams, threeiet_word
 from ietlab.words import Word
 
 from oracles import (
@@ -150,7 +150,7 @@ def test_threeiet_prefixes(eps, t, s, n):
     larger = eps if eps > 1 - eps else 1 - eps
     ell = larger + (1 - larger) * QuadraticReal(t.numerator, 0, 0, t.denominator)
     x0 = ell * QuadraticReal(s.numerator, 0, 0, s.denominator)
-    check_engine(threeiet_word(validate_params(eps, ell, x0), n).text)
+    check_engine(threeiet_word(ThreeIetParams(eps, ell, x0), n).text)
 
 
 VTM = vtm_prefix(4000)
@@ -213,6 +213,24 @@ def test_max_runs_leaves_the_run_free_search_unrun(monkeypatch):
     assert (witness.length, witness.period, witness.start) == fractional_best(text)
 
 
+def test_run_free_search_rebuilds_a_dropped_round_by_a_sort(monkeypatch):
+    # at 20000 letters a round dropped by the doubling has pair keys too wide
+    # to pack, so the run-free search rebuilds it by a sort and reuses that sort
+    text = vtm_prefix(20000)
+    callers = []
+    ranked = repetitions._ranked
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return ranked(*args, **kwargs)
+
+    monkeypatch.setattr(repetitions, "_ranked", spy)
+    witness = word_index_estimate(Word.from_text(text)).witness
+    best = fractional_best(text)
+    assert (witness.length, witness.period, witness.start) == best == (8191, 4096, 4096)
+    assert callers.count("_occurrence_candidates") == 1
+
+
 def test_square_free_index_through_the_cli_in_time(tmp_path):
     # the per-period sweep that indexed words without runs took over a minute here
     path = tmp_path / "vtm.txt"
@@ -270,9 +288,9 @@ def test_peak_memory_of_a_long_characteristic_prefix():
 def test_peak_memory_of_a_long_3iet_prefix():
     per_letter = engine_peak_bytes_per_letter(
         "from ietlab.exactreal import parse_quadratic\n"
-        "from ietlab.threeiet import threeiet_word, validate_params\n"
-        "params = validate_params(parse_quadratic('(-1+1*sqrt(2))/1'), parse_quadratic('7/10'),\n"
-        "                         parse_quadratic('0'))\n"
+        "from ietlab.threeiet import ThreeIetParams, threeiet_word\n"
+        "params = ThreeIetParams(parse_quadratic('(-1+1*sqrt(2))/1'), parse_quadratic('7/10'),\n"
+        "                        parse_quadratic('0'))\n"
         "word = threeiet_word(params, 200000)\n"
     )
     assert per_letter < ENGINE_BYTES_PER_LETTER, per_letter

@@ -13,13 +13,11 @@ from ietlab.exactreal import CFExpansion, QuadraticReal, cf_expand
 from ietlab.repetitions import word_index_estimate
 from ietlab.sturmian import (
     RotationParams,
-    SturmianParams,
     block_decompose,
     characteristic_prefix,
     rotation_word,
     standard_word,
     sturmian_index_formula,
-    sturmian_word,
 )
 from ietlab.words import BINARY, Word, is_balanced
 
@@ -88,11 +86,11 @@ class TestRotationWords:
             RotationParams(SQRT2_MINUS_1, PHI_MINUS_1, QuadraticReal(1))
         with pytest.raises(ParameterError, match=r"alpha and beta .* \(sqrt\(2\), sqrt\(5\)\)"):
             RotationParams(SQRT2_MINUS_1, PHI_MINUS_1, ZERO)
-        with pytest.raises(ParameterError, match=r"epsilon and x0 .* \(sqrt\(5\), sqrt\(2\)\)"):
-            SturmianParams(PHI_MINUS_1, SQRT2_MINUS_1)
+        with pytest.raises(ParameterError, match=r"alpha and x0 .* \(sqrt\(5\), sqrt\(2\)\)"):
+            RotationParams(1 - PHI_MINUS_1, PHI_MINUS_1, SQRT2_MINUS_1)
 
     def test_sturmian_certificates(self):
-        word = sturmian_word(SturmianParams(PHI_MINUS_1, ZERO), 1000)
+        word = rotation_word(RotationParams(1 - PHI_MINUS_1, PHI_MINUS_1, ZERO), 1000)
         for n in range(1, 21):
             assert word.factor_complexity(n) == n + 1
         assert is_balanced(word, 20).balanced
@@ -321,10 +319,10 @@ class TestLanguageCoincidence:
         n = 240
         for cf, eps in ((FIB_CF, PHI_MINUS_1), (SQRT2_CF, SQRT2_MINUS_1)):
             exchanged = EXCHANGE_01(characteristic_prefix(cf, n))
-            rot_long = sturmian_word(SturmianParams(eps, ZERO), 10 * n)
+            rot_long = rotation_word(RotationParams(1 - eps, eps, ZERO), 10 * n)
             for length in (1, 5, 10, 15):
                 assert factors(exchanged, length) <= factors(rot_long, length)
-            rot = sturmian_word(SturmianParams(eps, ZERO), n)
+            rot = rotation_word(RotationParams(1 - eps, eps, ZERO), n)
             exchanged_long = EXCHANGE_01(characteristic_prefix(cf, 10 * n))
             for length in (1, 5, 10, 15):
                 assert factors(rot, length) <= factors(exchanged_long, length)

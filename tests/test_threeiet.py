@@ -1,5 +1,6 @@
 """Tests for the three-interval exchange, ternarization and bound reports."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,13 +8,13 @@ import pytest
 
 from ietlab.errors import ParameterError
 from ietlab.exactreal import QuadraticReal
-from ietlab.sturmian import SturmianParams, sturmian_word
+from ietlab.sturmian import RotationParams, rotation_word
 from ietlab.threeiet import (
     NotAmicable,
+    ThreeIetParams,
     bound_check,
     ternarize,
     threeiet_word,
-    validate_params,
     verify_projections,
 )
 from ietlab.words import SPLIT_B01, SPLIT_B10, TERNARY, Word, rotation_coding_morphism
@@ -24,8 +25,8 @@ W = Word.from_text
 PHI_MINUS_1 = QuadraticReal(-1, 1, 5, 2)
 SQRT2_MINUS_1 = QuadraticReal(-1, 1, 2, 1)
 ZERO = QuadraticReal(0)
-GOLDEN = validate_params(PHI_MINUS_1, QuadraticReal(4, 0, 0, 5), ZERO)
-SILVER = validate_params(SQRT2_MINUS_1, QuadraticReal(7, 0, 0, 10), ZERO)
+GOLDEN = ThreeIetParams(PHI_MINUS_1, QuadraticReal(4, 0, 0, 5), ZERO)
+SILVER = ThreeIetParams(SQRT2_MINUS_1, QuadraticReal(7, 0, 0, 10), ZERO)
 
 
 def mp_threeiet_word(params, n_letters):
@@ -55,23 +56,52 @@ class TestValidation:
 
     def test_ell_too_small(self):
         with pytest.raises(ParameterError, match="max"):
-            validate_params(PHI_MINUS_1, QuadraticReal(1, 0, 0, 2), ZERO)
+            ThreeIetParams(PHI_MINUS_1, QuadraticReal(1, 0, 0, 2), ZERO)
 
     def test_ell_too_large(self):
         with pytest.raises(ParameterError):
-            validate_params(PHI_MINUS_1, QuadraticReal(1), ZERO)
+            ThreeIetParams(PHI_MINUS_1, QuadraticReal(1), ZERO)
 
     def test_rational_eps_rejected(self):
         with pytest.raises(ParameterError, match="irrational"):
-            validate_params(QuadraticReal(2, 0, 0, 5), QuadraticReal(4, 0, 0, 5), ZERO)
+            ThreeIetParams(QuadraticReal(2, 0, 0, 5), QuadraticReal(4, 0, 0, 5), ZERO)
 
     def test_fields_must_agree(self):
         with pytest.raises(ParameterError, match=r"epsilon and ell .* \(sqrt\(5\), sqrt\(2\)\)"):
-            validate_params(PHI_MINUS_1, QuadraticReal(1, 1, 2, 3), ZERO)
+            ThreeIetParams(PHI_MINUS_1, QuadraticReal(1, 1, 2, 3), ZERO)
 
     def test_x0_outside_domain(self):
         with pytest.raises(ParameterError, match="x0"):
-            validate_params(PHI_MINUS_1, QuadraticReal(4, 0, 0, 5), QuadraticReal(9, 0, 0, 10))
+            ThreeIetParams(PHI_MINUS_1, QuadraticReal(4, 0, 0, 5), QuadraticReal(9, 0, 0, 10))
+
+    ELL_RANGE = "ell must satisfy max(epsilon, 1 - epsilon) < ell < 1"
+
+    @pytest.mark.parametrize("eps, ell, x0, message", [
+        (PHI_MINUS_1, QuadraticReal(1, 0, 0, 2), ZERO,
+         f"{ELL_RANGE} (ell <= max(epsilon, 1 - epsilon))"),
+        (PHI_MINUS_1, QuadraticReal(1), ZERO, f"{ELL_RANGE} (ell >= 1)"),
+        (QuadraticReal(2, 0, 0, 5), QuadraticReal(4, 0, 0, 5), ZERO,
+         "epsilon must be irrational (nonzero square-root part)"),
+        (QuadraticReal(1, 1, 5, 2), QuadraticReal(4, 0, 0, 5), ZERO,
+         "epsilon must lie in (0, 1)"),
+        (PHI_MINUS_1, QuadraticReal(4, 0, 0, 5), QuadraticReal(9, 0, 0, 10),
+         "x0 must lie in [0, ell)"),
+        (PHI_MINUS_1, QuadraticReal(4, 0, 0, 5), QuadraticReal(-1, 0, 0, 10),
+         "x0 must lie in [0, ell)"),
+        (PHI_MINUS_1, QuadraticReal(4, 0, 0, 5), SQRT2_MINUS_1,
+         "epsilon and x0 lie in different quadratic fields (sqrt(5), sqrt(2))"),
+    ])
+    def test_invalid_triples_refused_on_construction(self, eps, ell, x0, message):
+        # no 3iet word exists for these, so none may be generated
+        with pytest.raises(ParameterError) as refused:
+            ThreeIetParams(eps, ell, x0)
+        assert str(refused.value) == message
+
+    def test_replace_revalidates(self):
+        with pytest.raises(ParameterError, match=r"ell <= max"):
+            dataclasses.replace(GOLDEN, ell=QuadraticReal(1, 0, 0, 2))
+        moved = dataclasses.replace(GOLDEN, x0=QuadraticReal(1, 0, 0, 2))
+        assert (moved.epsilon, moved.ell) == (GOLDEN.epsilon, GOLDEN.ell)
 
 
 class TestStep:
@@ -166,7 +196,7 @@ class TestTernarization:
             bound = max(eps, 1 - eps)
             ell = QuadraticReal(rng.randint((bound * 1000).floor() + 2, 999), 0, 0, 1000)
             x0 = QuadraticReal(rng.randint(0, (ell * 100).floor() - 1), 0, 0, 100)
-            params = validate_params(eps, ell, x0)
+            params = ThreeIetParams(eps, ell, x0)
             word = threeiet_word(params, 500)
             assert ternarize(SPLIT_B01(word), SPLIT_B10(word)) == word
             done += 1
@@ -179,17 +209,18 @@ class TestInducedRotation:
         cases = [
             GOLDEN,
             SILVER,
-            validate_params(PHI_MINUS_1, QuadraticReal(9, 0, 0, 10), QuadraticReal(1, 0, 0, 2)),
-            validate_params(PHI_MINUS_1, 3 * PHI_MINUS_1 - 1, ZERO),  # degenerate
-            validate_params(SQRT2_MINUS_1, QuadraticReal(7, 0, 0, 10), QuadraticReal(1, 0, 0, 10)),
-            validate_params(SQRT2_MINUS_1, QuadraticReal(3, 0, 0, 5), QuadraticReal(1, 0, 0, 3)),
+            ThreeIetParams(PHI_MINUS_1, QuadraticReal(9, 0, 0, 10), QuadraticReal(1, 0, 0, 2)),
+            ThreeIetParams(PHI_MINUS_1, 3 * PHI_MINUS_1 - 1, ZERO),  # degenerate
+            ThreeIetParams(SQRT2_MINUS_1, QuadraticReal(7, 0, 0, 10), QuadraticReal(1, 0, 0, 10)),
+            ThreeIetParams(SQRT2_MINUS_1, QuadraticReal(3, 0, 0, 5), QuadraticReal(1, 0, 0, 3)),
         ]
         for params in cases:
             word = threeiet_word(params, 50000)
             eps, x0 = params.epsilon, params.x0
             for split, start in ((SPLIT_B01, x0), (SPLIT_B10, (x0 + 1 - params.ell).fract())):
                 image = split(word)
-                assert image == sturmian_word(SturmianParams(eps, start), len(image)), params
+                rotation = RotationParams(1 - eps, eps, start)
+                assert image == rotation_word(rotation, len(image)), params
 
 
 class TestProjectionReport:
@@ -236,7 +267,7 @@ class TestBoundReports:
     def test_finiteness_across_ell_values(self):
         # the same eps with several interval lengths keeps the upper verdicts
         for num in (62, 70, 80, 90):
-            params = validate_params(
+            params = ThreeIetParams(
                 SQRT2_MINUS_1, QuadraticReal(num, 0, 0, 100), ZERO
             )
             report = bound_check(params, 5000)
@@ -245,7 +276,7 @@ class TestBoundReports:
     def test_x0_exploration(self):
         # index estimates for different starting points stay within the bound
         for tenth in (0, 1, 3):
-            params = validate_params(
+            params = ThreeIetParams(
                 SQRT2_MINUS_1, QuadraticReal(7, 0, 0, 10), QuadraticReal(tenth, 0, 0, 10)
             )
             assert bound_check(params, 4000).upper_ok

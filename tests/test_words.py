@@ -6,7 +6,7 @@ import pytest
 
 from ietlab.errors import ParameterError
 from ietlab.exactreal import QuadraticReal
-from ietlab.threeiet import threeiet_word, validate_params
+from ietlab.threeiet import ThreeIetParams, threeiet_word
 from ietlab.words import (
     BINARY,
     SPLIT_B01,
@@ -166,7 +166,7 @@ class TestMorphismOracle:
         assert every_long(Word(HUNDRED[-1], HUNDRED)).text == "01100011"
 
     def test_projections_of_a_long_three_iet_word(self):
-        params = validate_params(
+        params = ThreeIetParams(
             QuadraticReal(-1, 1, 5, 2), QuadraticReal(4, 0, 0, 5), QuadraticReal(0)
         )
         word = threeiet_word(params, 200_000)
