@@ -24,7 +24,7 @@ from .exactreal import (
     parse_quadratic,
     require_same_field,
 )
-from .repetitions import brute_force_index, word_index_estimate
+from .repetitions import ENGINE_MAX_LENGTH, brute_force_index, word_index_estimate
 from .sturmian import (
     MAX_LETTERS,
     RotationParams,
@@ -273,6 +273,46 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _file_word(args) -> str:
+    """The first line of ``--file`` that is not blank, stripped.  It may hold,
+    with the blank lines before it, at most cap characters: the longest word
+    that the memory limit and the runs engine allow.  The file is read in
+    blocks, never past cap + 1 characters or the block that ends the word's
+    line.  latin-1 decodes any byte, so only what precedes that line end is
+    checked for ASCII."""
+    limit, cap, high = _memory_limit(), 0, ENGINE_MAX_LENGTH
+    while cap < high:  # bisection: the estimate rises with the length
+        mid = (cap + high + 1) // 2
+        if _estimated_bytes(args, mid) <= limit:
+            cap = mid
+        else:
+            high = mid - 1
+    blocks, left = [], cap + 1
+    with open(args.file, "r", encoding="latin-1") as handle:
+        while left and not (blocks and "\n" in blocks[-1]):
+            block = handle.read(min(left, 2**16))
+            if not block:
+                break
+            left -= len(block)
+            if not blocks:  # still in the blank lines before the word
+                start = len(block) - len(block.lstrip())
+                if not block[:start].isascii():
+                    raise ParameterError(f"{args.file}: words must be plain ASCII")
+                block = block[start:]
+            if block:
+                blocks.append(block)
+    line, line_end, _ = "".join(blocks).partition("\n")
+    if not left and not line_end:
+        raise ParameterError(f"--file: the word, with any blank lines before it, is longer "
+                             f"than {cap} characters, the most that the {limit // 2**20} MiB "
+                             f"memory limit and the runs engine allow")
+    if not line.isascii():
+        raise ParameterError(f"{args.file}: words must be plain ASCII")
+    if not line:
+        raise ParameterError(f"{args.file}: no word found")
+    return line.strip()
+
+
 def _cmd_index(args) -> int:
     sources = [args.word is not None, args.file is not None, args.kind is not None]
     if sum(sources) != 1:
@@ -280,19 +320,7 @@ def _cmd_index(args) -> int:
     if args.word is not None:
         word = Word.from_text(args.word)
     elif args.file is not None:
-        # latin-1 decodes any byte, so only the lines read up to the word
-        # are checked for ASCII, and the rest of the file is never read.
-        with open(args.file, "r", encoding="latin-1") as handle:
-            for line in handle:
-                if not line.isascii():
-                    raise ParameterError(f"{args.file}: words must be plain ASCII")
-                text = line.strip()
-                if text:
-                    break
-            else:
-                raise ParameterError(f"{args.file}: no word found")
-        _require_memory(args, len(text), "--file")
-        word = Word.from_text(text)
+        word = Word.from_text(_file_word(args))
     else:
         word = _build_word(args)
     # the oracle's length guard refuses before any output
@@ -328,10 +356,7 @@ def _verify_theorem3(args) -> tuple[dict, bool]:
             cf.coefficient(n_max + 1)
         except InsufficientCoefficientsError:
             n_max = len(cf.quotients) - 1
-    try:
-        largest = max(cf.coefficient(n) for n in range(1, n_max + 2))
-    except InsufficientCoefficientsError:
-        raise ParameterError("not enough continued-fraction coefficients") from None
+    largest = max(cf.coefficient(n) for n in range(1, n_max + 2))
     # every term's numerator and denominator are below (K + 3) q_(n_max)
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if digits and (largest + 3) * cf.convergents(n_max)[-1][1] >= 10**digits:
@@ -541,6 +566,11 @@ def main(argv=None) -> int:
         if getattr(args, "nmax", None) is not None and args.nmax < 1:
             raise ParameterError(f"--nmax: must be >= 1 (got {args.nmax})")
         return args.handler(args)
+    except InsufficientCoefficientsError as exc:
+        # the expansion comes from --cf, or from --eps in `verify theorem3`
+        from_eps = getattr(args, "check", None) == "theorem3" and args.eps is not None
+        print(f"error: {'--eps' if from_eps else '--cf'}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -483,19 +483,17 @@ class CFExpansion:
         return self.period is not None
 
     def coefficient(self, n: int) -> int:
-        """The partial quotient a_n, n >= 1, extending through the period."""
+        """The partial quotient a_n, n >= 1, extending through the period; past
+        the known quotients, the one wording of that refusal for every caller."""
         if n < 1:
             raise ParameterError("coefficient index must be >= 1")
         if n <= len(self.quotients):
             return self.quotients[n - 1]
         if self.period is not None:
             return self.period[(n - 1 - self.preperiod) % len(self.period)]
-        if self.terminated:
-            raise InsufficientCoefficientsError(
-                f"expansion terminated after {len(self.quotients)} terms"
-            )
+        end = "the expansion terminates" if self.terminated else "no period is known"
         raise InsufficientCoefficientsError(
-            f"only {len(self.quotients)} coefficients known and no period"
+            f"a_{n} is needed, but the partial quotients end at a_{len(self.quotients)} and {end}"
         )
 
     def max_coefficient(self) -> tuple[int, bool]:
@@ -506,9 +504,7 @@ class CFExpansion:
             if head:
                 k = max(k, max(head))
             return k, True
-        if not self.quotients:
-            raise InsufficientCoefficientsError("no coefficients available")
-        return max(self.quotients), self.terminated
+        return max(self.quotients or (self.coefficient(1),)), self.terminated
 
     def iter_convergents(self) -> Iterator[tuple[int, int]]:
         """Convergents (p_N, q_N) for N = 0, 1, ..., with q_-1 = 0, q_0 = 1,

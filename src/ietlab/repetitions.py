@@ -44,6 +44,7 @@ if TYPE_CHECKING:
     from .words import Word
 
 ORACLE_MAX_LENGTH = 5000
+ENGINE_MAX_LENGTH = 2**30
 
 
 @dataclass(frozen=True)
@@ -536,7 +537,7 @@ def _candidates(text: str) -> tuple[tuple[np.ndarray, ...], partial | None]:
     at each i is extended.
     """
     n = len(text)
-    if n > 2**30:
+    if n > ENGINE_MAX_LENGTH:
         raise ParameterError(f"word of length {n} exceeds the runs engine's limit (2^30)")
     codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     edges = np.concatenate(([0], np.flatnonzero(codes[1:] != codes[:-1]) + 1, [n]))

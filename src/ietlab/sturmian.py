@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BlockParseError, InsufficientCoefficientsError, ParameterError
+from .errors import BlockParseError, ParameterError
 from .exactreal import CFExpansion, QuadraticReal, require_same_field
 from .words import BINARY, Word
 
@@ -169,15 +169,10 @@ def characteristic_prefix(cf: CFExpansion, n_letters: int) -> Word:
     """
     require_length(n_letters)
     prev, cur, m = "1", "0", 0
-    try:
-        while m == 0 or len(cur) < n_letters:
-            m += 1
-            repeats = min(cf.coefficient(m) - (m == 1), -(-n_letters // len(cur)))
-            prev, cur = cur, cur * repeats + prev
-    except InsufficientCoefficientsError:
-        raise InsufficientCoefficientsError(
-            f"need |s_n| >= {n_letters} but coefficients end at a_{m - 1}"
-        ) from None
+    while m == 0 or len(cur) < n_letters:
+        m += 1
+        repeats = min(cf.coefficient(m) - (m == 1), -(-n_letters // len(cur)))
+        prev, cur = cur, cur * repeats + prev
     return Word._trusted(cur[:n_letters], BINARY)
 
 

@@ -119,6 +119,12 @@ class TestIndex:
         assert data["witness"] == {"start": 0, "period": 3, "length": 8}
         assert data["max_integer_power"] == {"j": 2, "witness": "aab"}
 
+    def test_oracle_mismatch_exits_3(self, capsys, monkeypatch):
+        _, report, _ = run(capsys, "index", "--word", "aabaabaa")
+        monkeypatch.setattr(cli, "brute_force_index", lambda word: Fraction(2))
+        assert run(capsys, "index", "--word", "aabaabaa", "--oracle") == \
+            (3, report, "oracle mismatch: estimate 8/3 != brute force 2\n")
+
     def test_oracle_agreement(self, capsys):
         code, out, _ = run(capsys, "index", "--word", "aaa", "--oracle")
         assert code == 0
@@ -161,14 +167,49 @@ class TestIndex:
         assert "no word found" in err
 
     def test_file_over_the_memory_limit_exits_2(self, capsys, tmp_path, monkeypatch):
-        # the check runs on the word read from the file, before the engine
+        # the check runs while the word is read from the file, before the engine
         path = tmp_path / "words.txt"
         path.write_text("ab" * 500 + "\n")
         monkeypatch.setattr(cli, "_memory_limit", lambda: cli.BASE_BYTES)
         code, out, err = run(capsys, "index", "--file", str(path))
         assert code == 2 and out == ""
-        assert re.fullmatch(r"error: --file: 1000 letters need about 32 MiB, "
-                            r"above the 32 MiB memory limit\n", err)
+        assert re.fullmatch(r"error: --file: the word, with any blank lines before it, is longer "
+                            r"than 0 characters, the most that the 32 MiB memory limit and the "
+                            r"runs engine allow\n", err)
+
+    # 1000 letters fit this limit and 1001 do not: 1000 * (50 + 2 * 10) bytes above the base
+    CAP_1000 = cli.BASE_BYTES + 70000
+
+    @pytest.mark.parametrize("content", ["ab" * 500, "ab" * 500 + "\n" + "ab" * 9000,
+                                         " \n\t" + "a" * 997 + "\n"],
+                             ids=["cap-letters", "longer-line-after", "blanks-then-word"])
+    def test_file_word_of_cap_characters_is_read(self, capsys, tmp_path, monkeypatch, content):
+        path = tmp_path / "words.txt"
+        path.write_text(content)
+        monkeypatch.setattr(cli, "_memory_limit", lambda: self.CAP_1000)
+        code, out, _ = run(capsys, "index", "--file", str(path))
+        assert code == 0
+        assert json.loads(out)["prefix_length"] == len(content.split()[0])
+
+    @pytest.mark.parametrize("content", ["ab" * 500 + "a", "\n" * 1001 + "ab\n",
+                                         " \n\t" + "a" * 998 + "\n"],
+                             ids=["cap-plus-one-letters", "blank-lines", "blanks-then-word"])
+    @pytest.mark.parametrize("limit, engine", [(CAP_1000, cli.ENGINE_MAX_LENGTH), (None, 1000)],
+                             ids=["memory", "engine"])
+    def test_file_word_past_the_cap_exits_2(self, capsys, tmp_path, monkeypatch, content,
+                                            limit, engine):
+        # the cap is set by the memory limit, or by the runs engine's limit; a
+        # truncated word is never indexed
+        path = tmp_path / "words.txt"
+        path.write_text(content)
+        if limit is not None:
+            monkeypatch.setattr(cli, "_memory_limit", lambda: limit)
+        monkeypatch.setattr(cli, "ENGINE_MAX_LENGTH", engine)
+        code, out, err = run(capsys, "index", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: --file: the word, with any blank lines before it, is longer "
+                            r"than 1000 characters, the most that the \d+ MiB memory limit and "
+                            r"the runs engine allow\n", err)
 
     @pytest.mark.skipif(not HAS_PROC_STATUS, reason="needs Linux /proc")
     def test_file_tail_is_never_read(self, tmp_path):
@@ -291,8 +332,10 @@ class TestVerify:
         assert code == 0 and json.loads(out)["formula"]["n_max"] == n_max
 
     @pytest.mark.parametrize("argv, err", [
-        (("--cf", "0,1"), "error: need |s_n| >= 2000 but coefficients end at a_1\n"),
-        (("--cf", "0,1,1,1", "-N", "4"), "error: need |s_n| >= 4 but coefficients end at a_3\n"),
+        (("--cf", "0,1"), "error: --cf: a_2 is needed, but the partial quotients end at a_1 "
+                          "and no period is known\n"),
+        (("--cf", "0,1,1,1", "-N", "4"), "error: --cf: a_4 is needed, but the partial "
+                                         "quotients end at a_3 and no period is known\n"),
     ])
     def test_theorem3_prefix_beyond_the_coefficients(self, capsys, argv, err):
         assert run(capsys, "verify", "theorem3", *argv) == (2, "", err)
@@ -325,6 +368,15 @@ class TestVerify:
         # unrefused, each exits 1 in int-to-str conversion, the last after about a minute
         result = self.theorem3(eps, nmax)
         assert (result.returncode, result.stdout, result.stderr) == (2, "", err)
+
+    @pytest.mark.parametrize("eps, nmax, err", [
+        (GOLDEN_EPS, "25000", "error: --nmax: must be <= 4096 (got 25000)\n"),
+        (MILLION_EPS, "800", "error: --nmax: 800 gives integers over Python's 4300-digit limit\n"),
+    ])
+    def test_theorem3_nmax_refused_in_process(self, capsys, monkeypatch, eps, nmax, err):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+        argv = ("verify", "theorem3", "--eps", eps, "-N", "1000", "--nmax", nmax)
+        assert run(capsys, *argv) == (2, "", err)
 
     def test_theorem3_nmax_at_the_limit(self):
         result = self.theorem3(GOLDEN_EPS, "4096")
@@ -409,13 +461,25 @@ NO_PERIOD_EPS = "(-3162+1*sqrt(10000036))/1"  # continued-fraction period 4910
      "--cf: at least one partial quotient is required"),
     (("verify", "theorem3", "-N", "20"), "verify theorem3 requires --eps or --cf"),
     (("verify", "theorem3", "--cf", "0,1,2", "--nmax", "5", "-N", "20"),
-     "not enough continued-fraction coefficients"),
+     "--cf: a_3 is needed, but the partial quotients end at a_2 and no period is known"),
     (("experiment", "bounds-grid", "--eps", ",", "--ell", "7/10", "-N", "100"),
      "--eps: empty list"),
     (("experiment", "index-convergence", "--eps", GOLDEN_EPS, "--ell", "4/5",
       "--lengths", "10,x"), "--lengths: entries must be integers"),
     (("experiment", "index-convergence", "--eps", GOLDEN_EPS, "--ell", "4/5",
       "--lengths", ","), "--lengths: empty list"),
+    (("verify", "blocks", "--cf", "0,1,1,1", "--level", "100000000", "-N", "10"),
+     "--cf: a_4 is needed, but the partial quotients end at a_3 and no period is known"),
+    (("generate", "standard", "--cf", "0,2", "--level", "1000000000"),
+     "--cf: a_2 is needed, but the partial quotients end at a_1 and no period is known"),
+    (("verify", "blocks", "--cf", "0,1,1,1,1,1,1", "--level", "6", "-N", "13"),
+     "--cf: a_7 is needed, but the partial quotients end at a_6 and no period is known"),
+    (("verify", "theorem3", "--cf", "0,1", "-N", "2000"),
+     "--cf: a_2 is needed, but the partial quotients end at a_1 and no period is known"),
+    (("verify", "theorem3", "--eps", "1/3", "--nmax", "3"),
+     "--eps: a_2 is needed, but the partial quotients end at a_1 and the expansion terminates"),
+    (("index", "--kind", "characteristic", "--cf", "0,1,2", "-N", "40"),
+     "--cf: a_3 is needed, but the partial quotients end at a_2 and no period is known"),
 ])
 def test_flag_values_refused(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")

@@ -267,6 +267,20 @@ class TestContinuedFractions:
         with pytest.raises(InsufficientCoefficientsError):
             cf.coefficient(3)
 
+    @pytest.mark.parametrize("cf, end", [
+        (CFExpansion.from_quotients([1, 2]), "no period is known"),
+        (CFExpansion((1, 2), terminated=True), "the expansion terminates"),
+    ])
+    def test_coefficient_past_the_quotients(self, cf, end):
+        message = f"a_3 is needed, but the partial quotients end at a_2 and {end}"
+        with pytest.raises(InsufficientCoefficientsError, match=f"^{message}$"):
+            cf.coefficient(3)
+
+    def test_largest_of_no_quotients(self):
+        with pytest.raises(InsufficientCoefficientsError, match="^a_1 is needed, but the partial "
+                           "quotients end at a_0 and no period is known$"):
+            CFExpansion(()).max_coefficient()
+
     def test_preperiodic_case(self):
         # sqrt(2)/2 expands with one coefficient before the periodic part
         cf = cf_expand(QuadraticReal(0, 1, 2, 2), 6)

@@ -141,7 +141,8 @@ class TestCharacteristicPrefix:
     def test_runs_out_without_period(self):
         cf = CFExpansion.from_quotients([1, 1, 1])
         with pytest.raises(InsufficientCoefficientsError,
-                           match=r"^need \|s_n\| >= 100 but coefficients end at a_3$"):
+                           match=r"^a_4 is needed, but the partial quotients end at a_3 "
+                                 r"and no period is known$"):
             characteristic_prefix(cf, 100)
 
     def test_partial_last_step_reads_no_further_coefficient(self):

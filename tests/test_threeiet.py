@@ -167,6 +167,7 @@ class TestTernarization:
         result = ternarize(W("10"), W("01"))
         assert isinstance(result, NotAmicable)
         assert result.position == 0
+        assert not result
 
     def test_relation_not_symmetric(self):
         assert not isinstance(ternarize(W("0100101"), W("0101001")), NotAmicable)
