@@ -7,11 +7,13 @@ shift by the period.  The main path finds all maximal segments of exponent
 at least 2 (runs) from their Lyndon roots, as in the Runs Theorem, with
 numpy kernels and no per-position Python loop.  One prefix-doubling pass
 ranks every window of length 2^k, compressing a round by in-place sorts of
-packed uint64 values; its last round orders the suffixes, or, stopped at a
-depth, the deep windows of ``Word.factor_complexities``.  Each position
-pairs with the end of its longest Lyndon word under the letter order or its
-reverse: contiguous comparisons of the suffix order settle the ends within
-a few positions, and a search over block maxima finds the rest.  Two
+packed uint64 values, whose ranks come from the lengths of the groups of
+equal values while there are few groups; its last round orders the
+suffixes, or, stopped at a depth, the deep windows of
+``Word.factor_complexities``.  Each position pairs with the end of its
+longest Lyndon word under the letter order or its reverse: contiguous
+comparisons of the suffix order settle the ends within a few positions,
+and a search over block maxima finds the rest.  Two
 longest-common-extension queries per pair turn it into a run or reject it.
 Each query first compares m letters at once, packed into one uint64 per
 position, and only the pairs that agree on all m go on to binary lifting
@@ -223,22 +225,46 @@ def _sorted_pairs(key: np.ndarray, span: int, pbits: int) -> tuple[np.ndarray, n
     return order, ordered[1:] != ordered[:-1]
 
 
+# Dense ranks from group lengths (see `_ranked`).  A cumsum of a sorted
+# round's ``new`` flags costs the same whatever its number of groups D, and
+# ``np.repeat`` over the group lengths less the fewer groups there are.  On
+# every sorted round of the silver 3iet word (2e5 letters) and of a
+# characteristic word (3e5 letters, partial quotients 1..4) the cumsum took
+# 0.54-0.82 ms, and the repeat 0.10-0.30 ms for D <= n / 8, 0.36-0.74 ms at
+# D ~ n / 4, as long as the cumsum at n / 2 and 2-4 times as long past it
+# (best of 15; 2-core x86-64 VM).  So the repeat runs while D <= n / FEW_GROUPS.
+FEW_GROUPS = 4
+
+
 def _ranked(
     key: np.ndarray, span: int, pbits: int
 ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """The int32 round (dense ranks, then -1 at index n) of the n uint64 keys
     of ``_pair_key``, its largest rank, and the (order, new) of
     ``_sorted_pairs`` it was read from, whose ties pair each window with its
-    next occurrence.  ``key`` is used up."""
+    next occurrence.  ``key`` is used up.
+
+    The ranks in sorted order are built from the group lengths: each of the
+    top + 1 groups repeats its rank over its length, read off the positions
+    of ``new``, when there are few groups (see ``FEW_GROUPS``); they are
+    0..n-1 when every key differs, and the running count of ``new`` only in
+    between."""
     n = key.size
     rank = np.empty(n + 1, dtype=np.int32)  # before the sort: after it, more pages fault per call
     rank[n] = -1
     order, new = _sorted_pairs(key, span, pbits)
-    dense = np.zeros(n, dtype=np.int32)
-    dense[1:] = new
-    np.cumsum(dense, out=dense)  # in place: a cumsum of the bools would copy them to int32
+    top = int(np.count_nonzero(new))
+    if top == n - 1:
+        dense = np.arange(n, dtype=np.int32)
+    elif FEW_GROUPS * (top + 1) <= n:
+        lengths = np.diff(np.flatnonzero(new), prepend=-1, append=n - 1)
+        dense = np.repeat(np.arange(top + 1, dtype=np.int32), lengths)
+    else:
+        dense = np.zeros(n, dtype=np.int32)
+        dense[1:] = new
+        np.cumsum(dense, out=dense)  # in place: a cumsum of the bools would copy them to int32
     rank[order] = dense  # positions are below 2^63: int64 indices scatter faster
-    return rank, int(dense[-1]), order, new
+    return rank, top, order, new
 
 
 def _doubling_ranks(labels: np.ndarray, keep_from: int, width: int) -> list[np.ndarray | None]:
@@ -533,18 +559,22 @@ def _candidates(text: str) -> tuple[tuple[np.ndarray, ...], partial | None]:
     Ranks are distinct, so at each i < n - 1 one order gives j = i + 1 and
     i = n - 1 gives j = n in both.  A period-1 pair kept this way spans the
     maximal letter block around it, so these pairs are replaced by the
-    blocks of length >= 2, read off the letter changes; only the other end
-    at each i is extended.
+    blocks of length >= 2, read off the letters equal to the one before;
+    only the other end at each i is extended.
     """
     n = len(text)
     if n > ENGINE_MAX_LENGTH:
         raise ParameterError(f"word of length {n} exceeds the runs engine's limit (2^30)")
     codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    edges = np.concatenate(([0], np.flatnonzero(codes[1:] != codes[:-1]) + 1, [n]))
-    long = np.diff(edges) >= 2  # letter blocks of length >= 2, by their int32 ends
-    block_start, block_end = edges[:-1][long].astype(np.int32), edges[1:][long].astype(np.int32)
+    # The letter blocks of length >= 2, from one scan of "letter i + 1 equals
+    # letter i": the edges of its stretches of trues, padded by a false at
+    # each end, alternate between a block's start and its last letter.
+    edges = np.flatnonzero(np.diff(codes[1:] == codes[:-1], prepend=False, append=False))
+    edges = edges.astype(np.int32)
+    edges[1::2] += 1  # the block ends, one past their last letters
+    block_start, block_end = edges[0::2], edges[1::2]
     labels = _letter_labels(codes)
-    del codes, edges, long
+    del codes
     m = _packing_width(int(labels.max()))
     rounds = _doubling_ranks(labels, m.bit_length() - 1, n)
     jj = _lyndon_ends(rounds[-1][:n])
@@ -552,17 +582,18 @@ def _candidates(text: str) -> tuple[tuple[np.ndarray, ...], partial | None]:
     f = _extensions(rounds, _packed_letters(labels, m), m, jj, forward=True)
     labels[:n] = labels[n - 1 :: -1]
     b = _extensions(rounds, _packed_letters(labels, m)[::-1], m, jj, forward=False)
-    # No block and no pair with f + b >= j - i: no run.  The periods are
-    # taken only once the rounds are freed, in place of jj, and the kept
-    # candidates are built in place of their gathers, which keeps the
-    # process peak lower.
-    if block_start.size == 0 and not np.any(f + b + np.arange(n - 1, dtype=np.int32) >= jj):
+    jj -= np.arange(n - 1, dtype=np.int32)  # the periods, in place
+    reach = f + b >= jj  # the pairs kept, read once for the test and the runs
+    # No block and no pair kept: no run.
+    if block_start.size == 0 and not reach.any():
         labels[:n] = labels[n - 1 :: -1]
-        del jj, f, b
+        del jj, f, b, reach
         return np.empty((3, 0), dtype=np.int32), partial(_occurrence_candidates, labels, m, rounds)
+    # The kept candidates are built once the rounds are freed, in place of
+    # their gathers, which keeps the process peak lower.
     del rounds, labels
-    jj -= np.arange(n - 1, dtype=np.int32)  # the periods
-    keep = np.flatnonzero(f + b >= jj).astype(np.int32)
+    keep = np.flatnonzero(reach).astype(np.int32)
+    del reach
     f, b, period = f[keep], b[keep], jj[keep]
     del jj
     f += keep
@@ -647,29 +678,40 @@ def _best_extension(start: np.ndarray, end: np.ndarray, period: np.ndarray) -> t
     """(length, period, start) of the candidate maximizing length/period;
     ties prefer the smallest period, then the smallest start.
 
-    Exact int64 cross-multiplication, one ``_CHUNK`` slice at a time: lengths
-    are at most 2^31 and periods at most 2^30, so products stay below 2^61.
-    In each slice the exact floor of length * 2^31 / period picks a first
-    champion, each further pass moves to a strictly better ratio until none
-    is left, and the tie-break picks among the slice's best.  The slice
-    champions then compare as Fractions.
+    Exact integer arithmetic: lengths are at most 2^31 and periods at most
+    2^30.  One pass, a ``_CHUNK`` slice at a time, takes the exact floor of
+    length * 2^31 / period (numerators below 2^62) and keeps the candidates
+    at the top floor, which hold every best one, since the floor does not
+    fall as the ratio rises.  Only those compare, by int64
+    cross-multiplication (products below 2^61): each pass moves to a
+    strictly better ratio until none is left, and the tie-break picks among
+    the best.
     """
-    champions = []
+    top, at = -1, []
     for first in range(0, start.size, _CHUNK):
         part = slice(first, first + _CHUNK)
-        lengths = (end[part] - start[part]).astype(np.int64)
-        periods = period[part].astype(np.int64)
-        best = int(((lengths << 31) // periods).argmax())
-        while True:
-            gain = lengths * periods[best] - lengths[best] * periods
-            k = int(gain.argmax())
-            if gain[k] <= 0:
-                break
-            best = k
-        tied = np.flatnonzero(gain == 0)
-        k = tied[np.lexsort((start[part][tied], periods[tied]))[0]]
-        champions.append((int(lengths[k]), int(periods[k]), int(start[first + k])))
-    return max(champions, key=lambda c: (Fraction(c[0], c[1]), -c[1], -c[2]))
+        floors = (end[part] - start[part]).astype(np.int64)
+        floors <<= 31
+        floors //= period[part]
+        high = int(floors.max())
+        if high > top:
+            top, at = high, []
+        if high == top:
+            at.append(first + np.flatnonzero(floors == top))
+    at = np.concatenate(at)
+    starts = start[at]
+    lengths = (end[at] - starts).astype(np.int64)
+    periods = period[at].astype(np.int64)
+    best = 0
+    while True:
+        gain = lengths * periods[best] - lengths[best] * periods
+        k = int(gain.argmax())
+        if gain[k] <= 0:
+            break
+        best = k
+    tied = np.flatnonzero(gain == 0)
+    k = tied[np.lexsort((starts[tied], periods[tied]))[0]]
+    return int(lengths[k]), int(periods[k]), int(starts[k])
 
 
 # ---------------------------------------------------------------------------

@@ -740,3 +740,353 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "AACABAC\n"
+
+
+# The audit of every refusal that `cli.main` makes: id -> (argv, stderr), all
+# with exit code 2 and nothing on stdout.  Rows run under a memory limit of
+# AUDIT_LIMIT, Python's 4300-digit limit on int -> str conversion and an
+# 80-column terminal (argparse wraps its usage line to it), unless
+# AUDIT_PATCHES gives the row another memory limit or runs-engine limit.  In
+# argv, "{missing}" is a path that does not exist and "{file}" a file holding
+# AUDIT_FILES[id]; in stderr both stand for those paths.  Not listed: "word
+# of length n exceeds the runs engine's limit (2^30)" lies past the memory
+# guard at any limit below about 110 GiB (test_runs_kernels.py pins it), and
+# "the orbit needs rotation indices beyond 2**32" past any -N the CLI takes
+# (at most 2^31 letters, each under two rotation steps since ell > 1/2).
+AUDIT_LIMIT = 8 * 2**30
+GENERATE_USAGE = (
+    "usage: ietlab generate [-h] [--eps EPS] [--ell ELL] [--alpha ALPHA]\n"
+    "                       [--beta BETA] [--x0 X0] [--cf CF] [--level LEVEL]\n"
+    "                       [-N LENGTH] [--out OUT]\n"
+    "                       {sturmian,rotation,3iet,characteristic,standard}\n"
+)
+TOP_USAGE = "usage: ietlab [-h] {generate,index,verify,experiment} ...\n"
+G3 = ("generate", "3iet", "--eps", GOLDEN_EPS, "--ell", "4/5")
+UNREAD = ("--eps", SILVER_EPS, "--ell", "7/10", "-N", "100")
+CONVERGENCE = ("experiment", "index-convergence", "--eps", GOLDEN_EPS, "--ell", "4/5")
+ENDS = "is needed, but the partial quotients end at"
+NO_PERIOD = ("the continued-fraction period of epsilon was not found; the largest "
+             "coefficient would not be exact")
+ELL_LOW = "ell must satisfy max(epsilon, 1 - epsilon) < ell < 1 (ell <= max(epsilon, 1 - epsilon))"
+PAST_CAP = ("--file: the word, with any blank lines before it, is longer than {} characters, "
+            "the most that the {} MiB memory limit and the runs engine allow")
+REFUSALS = {
+    # argparse, before `main` reads anything
+    "usage-no-command": ((), f"{TOP_USAGE}ietlab: error: the following arguments are required: "
+                             "command\n"),
+    "usage-no-kind": (("generate",), f"{GENERATE_USAGE}ietlab generate: error: the following "
+                                     "arguments are required: kind\n"),
+    "usage-bad-kind": (("generate", "quasi", "-N", "5"),
+                       f"{GENERATE_USAGE}ietlab generate: error: argument kind: invalid choice: "
+                       "'quasi' (choose from 'sturmian', 'rotation', '3iet', 'characteristic', "
+                       "'standard')\n"),
+    "usage-bad-length": (("generate", "3iet", "-N", "ten"),
+                         f"{GENERATE_USAGE}ietlab generate: error: argument -N/--length: invalid "
+                         "int value: 'ten'\n"),
+    "usage-abmp-alpha": (("verify", "abmp", "--alpha", "1/3", *UNREAD),
+                         f"{TOP_USAGE}ietlab: error: unrecognized arguments: --alpha 1/3\n"),
+    "usage-bounds-beta": (("verify", "bounds", "--beta", "1/2", *UNREAD),
+                          f"{TOP_USAGE}ietlab: error: unrecognized arguments: --beta 1/2\n"),
+    "usage-sweep-alpha": (("experiment", "ell-sweep", "--alpha", "1/3", *UNREAD),
+                          f"{TOP_USAGE}ietlab: error: unrecognized arguments: --alpha 1/3\n"),
+    "usage-grid-beta": (("experiment", "bounds-grid", "--beta", "1/2", *UNREAD),
+                        f"{TOP_USAGE}ietlab: error: unrecognized arguments: --beta 1/2\n"),
+    "usage-sweep-cf": (("experiment", "ell-sweep", "--cf", "0,1,1", *UNREAD),
+                       f"{TOP_USAGE}ietlab: error: unrecognized arguments: --cf 0,1,1\n"),
+    "usage-convergence-level": (("experiment", "index-convergence", "--level", "3", *UNREAD),
+                                f"{TOP_USAGE}ietlab: error: unrecognized arguments: --level 3\n"),
+    # -N and --nmax, read first
+    "length-zero": ((*G3, "-N", "0"), "-N: must be >= 1 (got 0)"),
+    "length-past-max-letters": ((*G3, "-N", "2147483649"),
+                                "-N: must be <= 2147483648 (got 2147483649)"),
+    "nmax-abmp-negative": (("verify", "abmp", "--eps", GOLDEN_EPS, "--ell", "4/5", "-N", "2000",
+                            "--nmax", "-5"), "--nmax: must be >= 1 (got -5)"),
+    "nmax-abmp-zero": (("verify", "abmp", "--eps", GOLDEN_EPS, "--ell", "4/5", "-N", "2000",
+                        "--nmax", "0"), "--nmax: must be >= 1 (got 0)"),
+    "nmax-theorem3-negative": (("verify", "theorem3", "--cf", "0,1,2,3,4,5", "-N", "20", "--nmax",
+                                "-2"), "--nmax: must be >= 1 (got -2)"),
+    # the memory guard
+    "memory-index-3iet": (("index", "--kind", "3iet", "--eps", SILVER_EPS, "--ell", "7/10", "-N",
+                           "2147483648"), "-N: 2147483648 letters need about 233504 MiB, above "
+                                          "the 8192 MiB memory limit"),
+    "memory-bounds": (("verify", "bounds", "--eps", SILVER_EPS, "--ell", "7/10", "-N",
+                       "2147483648"), "-N: 2147483648 letters need about 233504 MiB, above the "
+                                      "8192 MiB memory limit"),
+    "memory-theorem3": (("verify", "theorem3", "--cf", "0,2,2,2,2", "-N", "2147483648"),
+                        "-N: 2147483648 letters need about 233504 MiB, above the 8192 MiB memory "
+                        "limit"),
+    "memory-ell-sweep": (("experiment", "ell-sweep", "--eps", SILVER_EPS, "--ell", "7/10", "-N",
+                          "2147483648"), "-N: 2147483648 letters need about 475168 MiB, above "
+                                         "the 8192 MiB memory limit"),
+    "memory-generate": (("generate", "3iet", "--eps", SILVER_EPS, "--ell", "7/10", "-N",
+                         "2147483648"), "-N: 2147483648 letters need about 32800 MiB, above the "
+                                        "8192 MiB memory limit"),
+    "memory-abmp-33": (("verify", "abmp", "--eps", GOLDEN_EPS, "--ell", "4/5", "-N", "100000",
+                        "--nmax", "33"), "-N: 100000 letters need about 37 MiB, above the 36 MiB "
+                                         "memory limit"),
+    "memory-abmp-400": (("verify", "abmp", "--eps", GOLDEN_EPS, "--ell", "4/5", "-N", "100000",
+                         "--nmax", "400"), "-N: 100000 letters need about 37 MiB, above the 36 "
+                                           "MiB memory limit"),
+    "memory-cgroup-40": (("index", "--kind", "3iet", "--eps", SILVER_EPS, "--ell", "7/10", "-N",
+                          "100000"), "-N: 100000 letters need about 40 MiB, above the 40 MiB "
+                                     "memory limit"),
+    "memory-lengths": (("experiment", "index-convergence", "--eps", SILVER_EPS, "--ell", "7/10",
+                        "--lengths", "10,100000000"), "--lengths: 100000000 letters need about "
+                                                      "9950 MiB, above the 8192 MiB memory limit"),
+    "memory-lengths-base": (("experiment", "index-convergence", "--eps", SILVER_EPS, "--ell",
+                             "7/10", "--lengths", "10,1000"),
+                            "--lengths: 1000 letters need about 32 MiB, above the 32 MiB memory "
+                            "limit"),
+    "memory-level": (("generate", "standard", "--cf", "0,1000000000,1", "--level", "1"),
+                     "--level: 1000000000 letters need about 15290 MiB, above the 8192 MiB "
+                     "memory limit"),
+    "memory-index-level": (("index", "--kind", "standard", "--cf", "0,1000000000,1", "--level",
+                            "1"), "--level: 1000000000 letters need about 104936 MiB, above the "
+                                  "8192 MiB memory limit"),
+    "memory-level-base": (("generate", "standard", "--cf", "0,1,1,1,1", "--level", "4"),
+                          "--level: 5 letters need about 32 MiB, above the 32 MiB memory limit"),
+    "memory-index-level-base": (("index", "--kind", "standard", "--cf", "0,1,1,1,1", "--level",
+                                 "4"), "--level: 5 letters need about 32 MiB, above the 32 MiB "
+                                       "memory limit"),
+    # number literals
+    "literal-position": (("generate", "3iet", "--eps", "(1+sqrt(5))/2", "--ell", "4/5", "-N",
+                          "7"), "--eps: expected an unsigned integer (position 3)"),
+    "literal-not-a-number": (("generate", "3iet", "--eps", "x", "--ell", "4/5", "-N", "7"),
+                             "--eps: expected an unsigned integer (position 0)"),
+    "literal-trailing": (("generate", "3iet", "--eps", GOLDEN_EPS, "--ell", "4/5)", "-N", "7"),
+                         "--ell: unexpected trailing input (position 3)"),
+    "literal-sign": (("generate", "3iet", "--eps", "(1*sqrt(5))/2", "--ell", "4/5", "-N", "7"),
+                     "--eps: expected '+' or '-' (position 2)"),
+    "literal-negative-radicand": (("generate", "3iet", "--eps", "(1+1*sqrt(-5))/2", "--ell",
+                                   "4/5", "-N", "7"), "--eps: negative radicand (position 10)"),
+    "literal-zero-denominator": (("generate", "3iet", "--eps", GOLDEN_EPS, "--ell", "4/0", "-N",
+                                  "7"), "--ell: zero denominator (position 2)"),
+    "literal-zero-denominator-quadratic": (("generate", "3iet", "--eps", "(-1+1*sqrt(5))/0",
+                                            "--ell", "4/5", "-N", "7"),
+                                           "--eps: zero denominator (position 15)"),
+    "literal-huge-radicand": (("generate", "3iet", "--eps",
+                               "(-1+1*sqrt(1000000000000000000000000000057))/2", "--ell", "9/10",
+                               "-N", "5"),
+                              "--eps: radicand 1000000000000000000000000000057: its square-free "
+                              "part cannot be certified (a cofactor of at least 1000000**3 has no "
+                              "prime factor below 1000000)"),
+    "literal-x0": ((*G3, "--x0", "1/", "-N", "7"), "--x0: expected an unsigned integer (position 2)"),
+    "literal-alpha": (("generate", "rotation", "--alpha", "", "--beta", "1/2", "-N", "7"),
+                      "--alpha: expected an unsigned integer (position 1)"),
+    # lists
+    "list-empty-eps": (("experiment", "bounds-grid", "--eps", ",", "--ell", "7/10", "-N", "100"),
+                       "--eps: empty list"),
+    "list-empty-ell": (("experiment", "ell-sweep", "--eps", SILVER_EPS, "--ell", ", ,", "-N",
+                        "100"), "--ell: empty list"),
+    "lengths-not-integers": ((*CONVERGENCE, "--lengths", "10,x"),
+                             "--lengths: entries must be integers"),
+    "lengths-empty": ((*CONVERGENCE, "--lengths", ","), "--lengths: empty list"),
+    "lengths-zero": ((*CONVERGENCE, "--lengths", "10,0"), "--lengths: must be >= 1 (got 0)"),
+    "lengths-past-max-letters": ((*CONVERGENCE, "--lengths", "2147483649"),
+                                 "--lengths: must be <= 2147483648 (got 2147483649)"),
+    # missing flags
+    "requires-sturmian": (("generate", "sturmian", "-N", "5"), "generate sturmian requires --eps"),
+    "requires-rotation": (("generate", "rotation", "--alpha", SILVER_EPS),
+                          "generate rotation requires --beta, -N"),
+    "requires-3iet": (("generate", "3iet", "--eps", GOLDEN_EPS, "-N", "7"),
+                      "generate 3iet requires --ell"),
+    "requires-characteristic": (("generate", "characteristic", "-N", "5"),
+                                "generate characteristic requires --cf"),
+    "requires-standard": (("generate", "standard", "--cf", "0,1"),
+                          "generate standard requires --level"),
+    "requires-index-3iet": (("index", "--kind", "3iet", "-N", "5"),
+                            "generate 3iet requires --eps, --ell"),
+    "requires-abmp": (("verify", "abmp", "--eps", GOLDEN_EPS), "verify abmp requires --ell, -N"),
+    "requires-bounds": (("verify", "bounds", "--ell", "4/5", "-N", "5"),
+                        "verify bounds requires --eps"),
+    "requires-blocks": (("verify", "blocks", "--cf", "0,1", "-N", "5"),
+                        "verify blocks requires --level"),
+    "requires-theorem3": (("verify", "theorem3", "-N", "20"),
+                          "verify theorem3 requires --eps or --cf"),
+    "requires-ell-sweep": (("experiment", "ell-sweep", "--eps", GOLDEN_EPS),
+                           "ell-sweep requires --ell, -N"),
+    "requires-bounds-grid": (("experiment", "bounds-grid", "--eps", GOLDEN_EPS, "--ell", "4/5"),
+                             "bounds-grid requires -N"),
+    "requires-index-convergence": (CONVERGENCE, "index-convergence requires --lengths"),
+    "index-two-sources": (("index", "--word", "aa", "--kind", "3iet"),
+                          "index needs exactly one of --word, --file or --kind"),
+    "index-no-source": (("index",), "index needs exactly one of --word, --file or --kind"),
+    # quadratic fields
+    "field-rotation": (("generate", "rotation", "--alpha", SILVER_EPS, "--beta",
+                        "(1+1*sqrt(3))/4", "-N", "5"),
+                       "--alpha and --beta lie in different quadratic fields (sqrt(2), sqrt(3))"),
+    "field-rotation-x0": (("generate", "rotation", "--alpha", SILVER_EPS, "--beta", "1/3",
+                           "--x0", "(0+1*sqrt(3))/4", "-N", "5"),
+                          "--alpha and --x0 lie in different quadratic fields (sqrt(2), sqrt(3))"),
+    "field-sturmian": (("generate", "sturmian", "--eps", GOLDEN_EPS, "--x0", SILVER_EPS, "-N",
+                        "5"), "--eps and --x0 lie in different quadratic fields (sqrt(5), sqrt(2))"),
+    "field-sturmian-half": (("generate", "sturmian", "--eps", GOLDEN_EPS, "--x0",
+                             "(0+1*sqrt(2))/2", "-N", "5"),
+                            "--eps and --x0 lie in different quadratic fields (sqrt(5), sqrt(2))"),
+    "field-3iet-ell": (("generate", "3iet", "--eps", GOLDEN_EPS, "--ell", "(1+1*sqrt(2))/3", "-N",
+                        "5"), "--eps and --ell lie in different quadratic fields (sqrt(5), sqrt(2))"),
+    "field-3iet-x0": ((*G3, "--x0", "(0+1*sqrt(2))/3", "-N", "5"),
+                      "--eps and --x0 lie in different quadratic fields (sqrt(5), sqrt(2))"),
+    "field-grid": (("experiment", "bounds-grid", "--eps", f"{GOLDEN_EPS},{SILVER_EPS}", "--ell",
+                    "(1+1*sqrt(5))/4", "-N", "100"),
+                   "--eps and --ell lie in different quadratic fields (sqrt(2), sqrt(5))"),
+    # 3iet parameters
+    "3iet-rational-eps": (("generate", "3iet", "--eps", "2/5", "--ell", "4/5", "-N", "7"),
+                          "epsilon must be irrational (nonzero square-root part)"),
+    "3iet-eps-past-one": (("generate", "3iet", "--eps", "(1+1*sqrt(5))/2", "--ell", "4/5", "-N",
+                           "7"), "epsilon must lie in (0, 1)"),
+    "3iet-ell-low": (("generate", "3iet", "--eps", GOLDEN_EPS, "--ell", "3/5", "-N", "7"), ELL_LOW),
+    "3iet-ell-one": (("generate", "3iet", "--eps", GOLDEN_EPS, "--ell", "1", "-N", "7"),
+                     "ell must satisfy max(epsilon, 1 - epsilon) < ell < 1 (ell >= 1)"),
+    "3iet-x0": ((*G3, "--x0", "4/5", "-N", "7"), "x0 must lie in [0, ell)"),
+    "3iet-grid-before-running": (("experiment", "bounds-grid", "--eps", "(0+1*sqrt(2))/2", "--ell",
+                                  "7/10,4/5", "-N", "100"), ELL_LOW),
+    "3iet-convergence": (("experiment", "index-convergence", "--eps", GOLDEN_EPS, "--ell", "1/2",
+                          "--lengths", "10"), ELL_LOW),
+    # rotation and Sturmian parameters
+    "rotation-rational-alpha": (("generate", "rotation", "--alpha", "1/3", "--beta", "1/2", "-N",
+                                 "5"), "alpha must be irrational"),
+    "rotation-alpha": (("generate", "rotation", "--alpha", "(1+1*sqrt(2))/1", "--beta", "1/2",
+                        "-N", "5"), "alpha must lie in (0, 1)"),
+    "rotation-beta": (("generate", "rotation", "--alpha", SILVER_EPS, "--beta", "1", "-N", "5"),
+                      "beta must lie in (0, 1)"),
+    "rotation-x0": (("generate", "rotation", "--alpha", SILVER_EPS, "--beta", "1/2", "--x0", "1",
+                     "-N", "5"), "x0 must lie in [0, 1)"),
+    "sturmian-rational": (("generate", "sturmian", "--eps", "1/2", "-N", "5"),
+                          "epsilon must be irrational"),
+    "sturmian-eps": (("generate", "sturmian", "--eps", "(1+1*sqrt(5))/2", "-N", "5"),
+                     "epsilon must lie in (0, 1)"),
+    "sturmian-x0": (("generate", "sturmian", "--eps", GOLDEN_EPS, "--x0", "1", "-N", "5"),
+                    "x0 must lie in [0, 1)"),
+    # --cf, --eps and --level
+    "cf-not-integers": (("generate", "characteristic", "--cf", "0,a", "-N", "5"),
+                        "--cf: coefficients must be integers"),
+    "cf-leading": (("generate", "characteristic", "--cf", "1,2", "-N", "5"),
+                   "--cf: the leading coefficient must be 0 (values in (0,1))"),
+    "cf-zero-quotient": (("generate", "characteristic", "--cf", "0,0", "-N", "5"),
+                         "--cf: partial quotients after the first must be >= 1"),
+    "cf-no-quotient": (("generate", "characteristic", "--cf", "0", "-N", "5"),
+                       "--cf: at least one partial quotient is required"),
+    "cf-ends-characteristic": (("generate", "characteristic", "--cf", "0,1,2", "-N", "40"),
+                               f"--cf: a_3 {ENDS} a_2 and no period is known"),
+    "cf-ends-index": (("index", "--kind", "characteristic", "--cf", "0,1,2", "-N", "40"),
+                      f"--cf: a_3 {ENDS} a_2 and no period is known"),
+    "cf-ends-standard": (("generate", "standard", "--cf", "0,2", "--level", "1000000000"),
+                         f"--cf: a_2 {ENDS} a_1 and no period is known"),
+    "cf-ends-blocks-level": (("verify", "blocks", "--cf", "0,1,1,1", "--level", "100000000", "-N",
+                              "10"), f"--cf: a_4 {ENDS} a_3 and no period is known"),
+    "cf-ends-blocks": (("verify", "blocks", "--cf", "0,1,1,1,1,1,1", "--level", "6", "-N", "13"),
+                       f"--cf: a_7 {ENDS} a_6 and no period is known"),
+    "cf-ends-theorem3-nmax": (("verify", "theorem3", "--cf", "0,1,2", "--nmax", "5", "-N", "20"),
+                              f"--cf: a_3 {ENDS} a_2 and no period is known"),
+    "cf-ends-theorem3": (("verify", "theorem3", "--cf", "0,1", "-N", "2000"),
+                         f"--cf: a_2 {ENDS} a_1 and no period is known"),
+    "cf-ends-theorem3-default": (("verify", "theorem3", "--cf", "0,1"),
+                                 f"--cf: a_2 {ENDS} a_1 and no period is known"),
+    "cf-ends-theorem3-prefix": (("verify", "theorem3", "--cf", "0,1,1,1", "-N", "4"),
+                                f"--cf: a_4 {ENDS} a_3 and no period is known"),
+    "eps-terminates-theorem3": (("verify", "theorem3", "--eps", "1/3", "--nmax", "3"),
+                                f"--eps: a_2 {ENDS} a_1 and the expansion terminates"),
+    "eps-outside-theorem3": (("verify", "theorem3", "--eps", "3/2"),
+                             "cf_expand requires a value in the open interval (0, 1)"),
+    "level-below-minus-one": (("generate", "standard", "--cf", "0,1", "--level", "-2"),
+                              "level must be >= -1"),
+    "level-past-max-letters": (("generate", "standard", "--cf", "0,10000000000", "--level", "1"),
+                               "--level: s_1 has more than 2147483648 letters"),
+    "level-past-max-letters-unformatted": (("generate", "standard", "--cf", "0" + ",1" * 30000,
+                                            "--level", "30000"),
+                                           "--level: s_30000 has more than 2147483648 letters"),
+    "blocks-level-zero": (("verify", "blocks", "--cf", "0,1,1,1,1,1,1,1,1", "--level", "0", "-N",
+                           "10"), "level must be >= 1"),
+    # verify theorem3 --nmax
+    "theorem3-nmax-past-states": (("verify", "theorem3", "--eps", GOLDEN_EPS, "-N", "1000",
+                                   "--nmax", "25000"), "--nmax: must be <= 4096 (got 25000)"),
+    "theorem3-nmax-digits": (("verify", "theorem3", "--eps", MILLION_EPS, "-N", "1000", "--nmax",
+                              "800"), "--nmax: 800 gives integers over Python's 4300-digit limit"),
+    "theorem3-nmax-digits-at-states": (("verify", "theorem3", "--eps", MILLION_EPS, "-N", "1000",
+                                        "--nmax", "4096"),
+                                       "--nmax: 4096 gives integers over Python's 4300-digit "
+                                       "limit"),
+    # the bounds of epsilon, and the projections of verify abmp
+    "bounds-no-period": (("verify", "bounds", "--eps", NO_PERIOD_EPS, "--ell", "9/10", "-N",
+                          "1000"), NO_PERIOD),
+    "convergence-no-period": (("experiment", "index-convergence", "--eps", NO_PERIOD_EPS, "--ell",
+                               "9/10", "--lengths", "100,1000"), NO_PERIOD),
+    "abmp-projections-short": (("verify", "abmp", "--eps", GOLDEN_EPS, "--ell", "4/5", "-N", "100",
+                                "--nmax", "12"), "projections of length 125 are too short for "
+                                                 "depth 12"),
+    # index words and files, and the output file
+    "index-empty-word": (("index", "--word", ""), "word must be nonempty"),
+    "index-non-ascii-word": (("index", "--word", "ab\xe9"),
+                             "alphabet letters must be single ASCII characters"),
+    "index-oracle-guard": (("index", "--kind", "characteristic", "--cf", "0" + ",1" * 19, "-N",
+                            "6000", "--oracle"), "word of length 6000 exceeds the oracle guard "
+                                                 "(5000)"),
+    "file-missing": (("index", "--file", "{missing}"),
+                     "[Errno 2] No such file or directory: '{missing}'"),
+    "file-empty": (("index", "--file", "{file}"), "{file}: no word found"),
+    "file-blank": (("index", "--file", "{file}"), "{file}: no word found"),
+    "file-non-ascii-word": (("index", "--file", "{file}"), "{file}: words must be plain ASCII"),
+    "file-non-ascii-blank": (("index", "--file", "{file}"), "{file}: words must be plain ASCII"),
+    "file-over-the-memory-limit": (("index", "--file", "{file}"), PAST_CAP.format(0, 32)),
+    "file-memory-cap-plus-one-letters": (("index", "--file", "{file}"), PAST_CAP.format(1000, 32)),
+    "file-memory-blank-lines": (("index", "--file", "{file}"), PAST_CAP.format(1000, 32)),
+    "file-memory-blanks-then-word": (("index", "--file", "{file}"), PAST_CAP.format(1000, 32)),
+    "file-engine-cap-plus-one-letters": (("index", "--file", "{file}"),
+                                         PAST_CAP.format(1000, 8192)),
+    "file-engine-blank-lines": (("index", "--file", "{file}"), PAST_CAP.format(1000, 8192)),
+    "file-engine-blanks-then-word": (("index", "--file", "{file}"), PAST_CAP.format(1000, 8192)),
+    "out-missing-directory": (("index", "--word", "abaab", "--out", "{missing}/report.json"),
+                              "[Errno 2] No such file or directory: '{missing}/report.json'"),
+}
+AUDIT_FILES = {
+    "file-empty": "",
+    "file-blank": " \n\t\n  \n",
+    "file-non-ascii-word": "ab\xe9ab\n",
+    "file-non-ascii-blank": "\n\xe9\nabaab\n",
+    "file-over-the-memory-limit": "ab" * 500 + "\n",
+    **{f"file-{cap}-{name}": content
+       for cap in ("memory", "engine")
+       for name, content in (("cap-plus-one-letters", "ab" * 500 + "a"),
+                             ("blank-lines", "\n" * 1001 + "ab\n"),
+                             ("blanks-then-word", " \n\t" + "a" * 998 + "\n"))},
+}
+AUDIT_PATCHES = {
+    "memory-abmp-33": {"_memory_limit": cli.BASE_BYTES + 50 * 100000},
+    "memory-abmp-400": {"_memory_limit": cli.BASE_BYTES + 50 * 100000},
+    "memory-cgroup-40": {"_memory_limit": 40 * 2**20},
+    "memory-lengths-base": {"_memory_limit": cli.BASE_BYTES},
+    "memory-level-base": {"_memory_limit": cli.BASE_BYTES},
+    "memory-index-level-base": {"_memory_limit": cli.BASE_BYTES},
+    "file-over-the-memory-limit": {"_memory_limit": cli.BASE_BYTES},
+    **{f"file-memory-{name}": {"_memory_limit": TestIndex.CAP_1000}
+       for name in ("cap-plus-one-letters", "blank-lines", "blanks-then-word")},
+    **{f"file-engine-{name}": {"ENGINE_MAX_LENGTH": 1000}
+       for name in ("cap-plus-one-letters", "blank-lines", "blanks-then-word")},
+}
+
+
+@pytest.mark.parametrize("refusal", list(REFUSALS))
+def test_every_refusal_of_main(capsys, monkeypatch, tmp_path, refusal):
+    argv, err = REFUSALS[refusal]
+    patches = {"_memory_limit": AUDIT_LIMIT, **AUDIT_PATCHES.get(refusal, {})}
+    limit = patches.pop("_memory_limit")
+    monkeypatch.setattr(cli, "_memory_limit", lambda: limit)
+    for name, value in patches.items():
+        monkeypatch.setattr(cli, name, value)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    paths = {"{missing}": str(tmp_path / "missing"), "{file}": str(tmp_path / "words.txt")}
+    if refusal in AUDIT_FILES:
+        (tmp_path / "words.txt").write_bytes(AUDIT_FILES[refusal].encode("latin-1"))
+    for placeholder, path in paths.items():
+        argv = [piece.replace(placeholder, path) for piece in argv]
+        err = err.replace(placeholder, path)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse
+        code = exc.code
+    else:
+        err = f"error: {err}\n"
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", err)

@@ -2,14 +2,16 @@
 
 `_lyndon_ends` is compared with the sequential next-smaller/next-greater
 walk, `_first_above` with a scan, `_extensions` with a letter-by-letter
-comparison, and every kept doubling round with the order of its windows;
-the doubling sort is checked on two words longer than 2^21 letters, where
-one packed sort key uses all 64 bits and where the keys no longer fit and
-two sorting passes take over.
+comparison, `_ranked` with `np.unique` and a stable argsort, and every kept
+doubling round with the order of its windows; the doubling sort is checked
+on two words longer than 2^21 letters, where one packed sort key uses all
+64 bits and where the keys no longer fit and two sorting passes take over.
+The rounds and runs of two long words are pinned by digests.
 """
 
 import hashlib
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,9 +19,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ietlab.errors import ParameterError
-from ietlab.exactreal import CFExpansion
+from ietlab.exactreal import CFExpansion, parse_quadratic
 from ietlab.repetitions import (
+    _CHUNK,
+    FEW_GROUPS,
     SHORT_ENDS,
+    _best_extension,
     _candidates,
     _doubling_ranks,
     _extensions,
@@ -31,12 +36,14 @@ from ietlab.repetitions import (
     _ranked,
     _sorted_pairs,
     _tied_pairs,
+    max_runs,
     word_index_estimate,
 )
 from ietlab.sturmian import characteristic_prefix
+from ietlab.threeiet import ThreeIetParams, threeiet_word
 from ietlab.words import Word
 
-from oracles import naive_extension, sequential_lyndon_ends
+from oracles import naive_extension, naive_runs, sequential_lyndon_ends
 
 ENDS = settings(max_examples=300, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -302,6 +309,171 @@ def test_ties_of_both_sorts(span):
     pairs = [(a, b) for a, b in zip(order, order[1:]) if key[a] == key[b]]
     assert list(zip(*(t.tolist() for t in ties))) == pairs
     assert [t.dtype for t in ties] == [np.int32, np.int32]
+
+
+def check_ranked(key, span):
+    """`_ranked` against `np.unique`: its ranks and largest rank, the -1
+    after them, and the (order, new) of a stable sort of the keys."""
+    key = np.asarray(key, dtype=np.uint64)
+    n = key.size
+    pbits = (n - 1).bit_length()
+    distinct, inverse = np.unique(key, return_inverse=True)
+    rank, top, order, new = _ranked(key.copy(), span, pbits)
+    assert rank.dtype == np.int32 and rank.size == n + 1 and rank[n] == -1
+    assert rank[:n].tolist() == inverse.tolist()
+    assert top == distinct.size - 1
+    stable = np.argsort(key, kind="stable")
+    assert order.tolist() == stable.tolist()
+    assert new.tolist() == (key[stable][1:] != key[stable][:-1]).tolist()
+
+
+# With 12 position bits (4096 keys), keys below span (span - 1) sort in one
+# pass for the first span and in two for the second; with fewer, in one.
+SPANS = [2**10, 2**27]
+
+
+@pytest.mark.parametrize("span", SPANS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4096])
+def test_ranked_of_one_group(n, span):
+    check_ranked([span + 7] * n, span)
+
+
+@pytest.mark.parametrize("span", SPANS)
+@pytest.mark.parametrize("n", [2, 3, 4096])
+def test_ranked_of_distinct_keys(n, span):
+    # every key differs: the last round of every word
+    keys = np.random.default_rng(n).permutation(n) * ((span * (span - 1) - 2) // n) + 1
+    assert np.unique(keys).size == n
+    check_ranked(keys, span)
+
+
+@pytest.mark.parametrize("span", SPANS)
+def test_ranked_at_two_keys(span):
+    check_ranked([5, 3], span)
+    check_ranked([3, 5], span)
+    check_ranked([4, 4], span)
+
+
+@pytest.mark.parametrize("span", SPANS)
+@pytest.mark.parametrize("groups", [2, 3, 17, 4096 // FEW_GROUPS - 1, 4096 // FEW_GROUPS,
+                                    4096 // FEW_GROUPS + 1, 4096 // FEW_GROUPS + 2, 2000, 4095])
+def test_ranked_on_both_sides_of_the_group_switch(groups, span):
+    # 4096 keys in a given number of groups: few groups take the repeat over
+    # the group lengths, more the running count; the groups' keys and sizes
+    # are scattered, and one group holds a single key
+    rng = np.random.default_rng(groups)
+    values = np.sort(rng.choice(span * (span - 1) - 1, size=groups, replace=False))
+    sizes = np.ones(groups, dtype=np.int64)
+    sizes += np.bincount(rng.integers(1, groups, size=4096 - groups), minlength=groups)
+    keys = rng.permutation(np.repeat(values, sizes))
+    check_ranked(keys, span)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_best_extension_against_fractions(seed):
+    # Over three slices: ratios 2 - 5/p for periods p just below 2^29 share
+    # one floor of length * 2^31 / period but differ, one (length, period)
+    # recurs at five starts, and every other ratio lies on a lower floor.
+    rng = np.random.default_rng(seed)
+    size = 2 * _CHUNK + 1000
+    period = rng.integers(11, 2**29, size=size)
+    length = period + rng.integers(0, period - 10)
+    close = rng.choice(size, size=60, replace=False)
+    period[close] = 2**29 - rng.integers(1, 50, size=close.size)
+    period[close[:5]] = period[close[30:35]] = 2**29 - 1
+    length[close] = 2 * period[close] - 5
+    if seed % 2:
+        length[close[30:]] = 2 * period[close[30:]] - 4  # a higher floor
+    start = rng.integers(0, 2**30, size=size)
+    got = _best_extension(*(a.astype(np.int32) for a in (start, start + length, period)))
+    best = max(zip(length.tolist(), period.tolist(), start.tolist()),
+               key=lambda c: (Fraction(c[0], c[1]), -c[1], -c[2]))
+    assert got == best
+
+
+def period_one_runs(text):
+    """The period-1 runs of ``max_runs`` and of ``naive_runs``."""
+    runs = [(r.start, r.period, r.length) for r in max_runs(Word.from_text(text))]
+    return ([r for r in runs if r[1] == 1], [r for r in naive_runs(text) if r[1] == 1])
+
+
+@pytest.mark.parametrize("text", [
+    "a", "aa", "aaa", "a" * 70,
+    "ab", "abab", "ba" * 30 + "b",
+    "aab", "baa", "aabb", "aaba", "abaa", "abbba", "aabbaab", "aaabaaa",
+    "bbacbbbbcaa", "abcccbbbaccaaacab", "abcabcaa", "aabcabc",
+])
+def test_period_one_runs_are_the_letter_blocks(text):
+    engine, oracle = period_one_runs(text)
+    assert engine == oracle
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abc"), st.integers(1, 4)), min_size=1, max_size=12))
+def test_period_one_runs_of_random_blocks(blocks):
+    text = "".join(letter * size for letter, size in blocks)
+    engine, oracle = period_one_runs(text)
+    assert engine == oracle
+
+
+def test_run_free_path_only_without_blocks_and_runs():
+    # vtm is square-free and has no letter block: the run-free search
+    # scores it; one block, or one square, sends the word down the runs path
+    vtm = "abcacbabcbacabcacbacabcb"
+    runs, run_free = _candidates(vtm)
+    assert [r.size for r in runs] == [0, 0, 0] and run_free is not None
+    for text in ("a", "ab", "abc", vtm + "b", "aabcacb", vtm[:5] + vtm[:5]):
+        runs, run_free = _candidates(text)
+        assert (run_free is None) == bool(naive_runs(text)), text
+
+
+# sha256 of each kept round of `_doubling_ranks` (its dtype and bytes) and
+# of the runs of `max_runs`, recorded before the ranks were built from the
+# group lengths
+SILVER_ROUNDS = {
+    5: ("uint16", "8ec13ec1dced453e6599fc4108608b806f45baa15720d0480047615b88f724a9"),
+    7: ("uint16", "d7b9798baa1e32a5bb03e793fb375986de95b05faffe4a3657162bac14330586"),
+    9: ("uint16", "5423cc57152789687629d437b714a71301dcbb04f3abc7a7dc9b0a035874a886"),
+    11: ("uint16", "c24de8db660d1f00adee997f54ea1b53a323fe9a2e28146ffa348e2d43f20a6b"),
+    13: ("uint16", "861b590046128a6482b8e17f9e34a41eb35b37d8923911163037b49178a0cfb7"),
+    15: ("int32", "d1d6fabacf9763f94325d6bdab1ed3b94dba50abbd226bbbc372a6ed1fee3299"),
+    17: ("int32", "f914a430722266213ac5a0a10fc4a4f7651f716a519310ad1d7d33a592dc88d2"),
+}
+SILVER_RUNS = (98023, "3142501ee6a7d9c52770e882f7b212999aa01fee2b194d340dbbc428229b79f5")
+CHARACTERISTIC_ROUNDS = {
+    5: ("uint16", "4cc31e3976ac3d925c1b256224f39c5dcfbc5cab35c9f4738d5c3ab75c0422fa"),
+    7: ("uint16", "4528d0556142ea102f90f392dd1e7f208f6042e521fc1b213d58299c951d08fc"),
+    9: ("uint16", "75f0d8b68b55cf5e7f4c2fe14206967fe913e5726b2d91837bacd35b26444f90"),
+    11: ("uint16", "4d7eea095df9a92cf711f4a422def26e261abb23079eaffa02957b9ca5777818"),
+    13: ("uint16", "3eaa5252e6669ea358226c8d6021db2a35755fe144aa9c2acd4d70789dc462b0"),
+    15: ("int32", "9d3679843c82341be5d4931c87b9f25b0fbe635bcf7efb450b87660e997ddd44"),
+    17: ("int32", "e0527ac83a05017231d23209474dc279990fac2d36137acd1c4ec9a4512d2c41"),
+    18: ("int32", "e73bd17741a9f4794b5b2f25e6fc0081dd243e3b033ad931a639a63ff031ec9e"),
+}
+CHARACTERISTIC_RUNS = (209382, "6f74959a7aeade36ad347072ea101e95afe93313bea95458f052a9ea5a436e1a")
+
+
+def silver_word():
+    quadratic = parse_quadratic
+    params = ThreeIetParams(quadratic("(-1+1*sqrt(2))/1"), quadratic("7/10"), quadratic("0"))
+    return threeiet_word(params, 200_000)
+
+
+@pytest.mark.parametrize("make_word, rounds, runs", [
+    (silver_word, SILVER_ROUNDS, SILVER_RUNS),
+    (lambda: characteristic_prefix(CFExpansion.from_quotients([1, 2, 3, 4] * 10), 300_000),
+     CHARACTERISTIC_ROUNDS, CHARACTERISTIC_RUNS),
+], ids=["silver-3iet-2e5", "characteristic-3e5"])
+def test_rounds_and_runs_of_record(make_word, rounds, runs):
+    # the engine's own keep_from, log2 m, and width n
+    word = make_word()
+    labels = _letter_labels(np.frombuffer(word.text.encode("ascii"), dtype=np.uint8))
+    m = _packing_width(int(labels.max()))
+    kept = _doubling_ranks(labels, m.bit_length() - 1, len(word))
+    assert {k: (str(r.dtype), hashlib.sha256(r.tobytes()).hexdigest())
+            for k, r in enumerate(kept) if r is not None} == rounds
+    found = [(r.start, r.period, r.length) for r in max_runs(word)]
+    assert (len(found), hashlib.sha256(repr(found).encode()).hexdigest()) == runs
 
 
 def suffix_less(text, a, b):
