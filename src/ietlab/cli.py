@@ -60,11 +60,18 @@ EXPERIMENT_KINDS = ("ell-sweep", "bounds-grid", "index-convergence")
 # argument helpers
 # ---------------------------------------------------------------------------
 
-def _number(text: str, flag: str) -> QuadraticReal:
+def _flagged(flag: str, call, *args, **kwargs):
+    """call(*args, **kwargs), naming ``flag`` in its refusal or failed open."""
     try:
-        return parse_quadratic(text)
-    except ParameterError as exc:
+        return call(*args, **kwargs)
+    except InsufficientCoefficientsError:  # `main` names the flag of a coefficient shortage
+        raise
+    except (ParameterError, OSError) as exc:
         raise ParameterError(f"{flag}: {exc}") from None
+
+
+def _number(text: str, flag: str) -> QuadraticReal:
+    return _flagged(flag, parse_quadratic, text)
 
 
 def _number_list(text: str, flag: str) -> list[QuadraticReal]:
@@ -202,7 +209,7 @@ def _fraction_decimal(value: Fraction) -> str:
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w", encoding="ascii", newline="") as handle:
+        with _flagged("--out", open, out_path, "w", encoding="ascii", newline="") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -259,7 +266,7 @@ def _build_word(args) -> Word:
             if q_level > MAX_LETTERS:
                 raise ParameterError(f"--level: s_{args.level} has more than {MAX_LETTERS} letters")
             _require_memory(args, q_level, "--level")
-        return standard_word(cf, args.level)
+        return _flagged("--level", standard_word, cf, args.level)
     raise ParameterError(f"unknown kind {kind!r}")
 
 
@@ -288,7 +295,7 @@ def _file_word(args) -> str:
         else:
             high = mid - 1
     blocks, left = [], cap + 1
-    with open(args.file, "r", encoding="latin-1") as handle:
+    with _flagged("--file", open, args.file, "r", encoding="latin-1") as handle:
         while left and not (blocks and "\n" in blocks[-1]):
             block = handle.read(min(left, 2**16))
             if not block:
@@ -317,8 +324,10 @@ def _cmd_index(args) -> int:
     sources = [args.word is not None, args.file is not None, args.kind is not None]
     if sum(sources) != 1:
         raise ParameterError("index needs exactly one of --word, --file or --kind")
+    if args.word == "":
+        raise ParameterError("--word: word must be nonempty")
     if args.word is not None:
-        word = Word.from_text(args.word)
+        word = _flagged("--word", Word.from_text, args.word)
     elif args.file is not None:
         word = Word.from_text(_file_word(args))
     else:
@@ -341,8 +350,7 @@ def _verify_theorem3(args) -> tuple[dict, bool]:
     if args.nmax is not None and args.nmax > MAX_CF_STATES:
         raise ParameterError(f"--nmax: must be <= {MAX_CF_STATES} (got {args.nmax})")
     if args.eps is not None:
-        eps = _number(args.eps, "--eps")
-        cf = cf_expand(eps, 8)
+        cf = _flagged("--eps", cf_expand, _number(args.eps, "--eps"), 8)
     elif args.cf is not None:
         cf = _cf_flag(args.cf)
     else:
@@ -394,7 +402,7 @@ def _cmd_verify(args) -> int:
         cf = _cf_flag(args.cf)
         prefix = characteristic_prefix(cf, args.length)
         try:
-            parse = block_decompose(prefix, cf, args.level)
+            parse = _flagged("--level", block_decompose, prefix, cf, args.level)
         except BlockParseError as exc:
             report = {"check": "blocks", "error": str(exc), "passed": False}
             _emit(json.dumps(report) + "\n", args.out)

@@ -384,14 +384,14 @@ class _Scanner:
     def int_(self) -> int:
         self._skip_ws()
         negative = False
-        if self.peek() in "+-":
+        if self.peek() in ("+", "-"):  # not "+-": the end of input, "", is in every string
             negative = self.peek() == "-"
             self.pos += 1
         return -self.uint() if negative else self.uint()
 
     def sign(self) -> int:
         ch = self.peek()
-        if ch not in "+-":
+        if ch not in ("+", "-"):
             raise NumberParseError("expected '+' or '-'", self.pos)
         self.pos += 1
         return -1 if ch == "-" else 1

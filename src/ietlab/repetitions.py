@@ -16,17 +16,18 @@ comparisons of the suffix order settle the ends within a few positions,
 and a search over block maxima finds the rest.  Two
 longest-common-extension queries per pair turn it into a run or reject it.
 Each query first compares m letters at once, packed into one uint64 per
-position, and only the pairs that agree on all m go on to binary lifting
-over the doubling rounds of length m and above.  Only every other round is
-kept: a dropped round of 2^k-letter windows reads as two 2^(k-1)-letter
-halves in the round below, since two windows are equal exactly when both
-halves are.  Pairs of period 1 are read off the letter blocks instead.
-That is at most 2n candidates and O(n log n) memory in uint16 and int32
-rounds, half of them kept.  Without runs, the best extension starts at one
-of two text-consecutive occurrences of a doubling window, which the same
-rounds and queries score, each dropped round rebuilt once from the round
-below; ``brute_force_index`` is an independent reference implementation
-kept deliberately naive.
+position (one packing, padded by m zeros in front, holds the m letters
+before and from each position), and only the pairs that agree on all m go
+on to binary lifting over the doubling rounds of length m and above.  Only
+every other round is kept: a dropped round of 2^k-letter windows reads as
+two 2^(k-1)-letter halves in the round below, since two windows are equal
+exactly when both halves are.  Pairs of period 1 are read off the letter
+blocks instead.  That is at most 2n candidates and O(n log n) memory in
+uint16 and int32 rounds, half of them kept.  Without runs, the best
+extension starts at one of two text-consecutive occurrences of a doubling
+window, which the same rounds and queries score, each dropped round
+rebuilt once from the round below; ``brute_force_index`` is an independent
+reference implementation kept deliberately naive.
 """
 
 from __future__ import annotations
@@ -329,12 +330,12 @@ def _packing_width(k: int) -> int:
 
 
 def _packed_letters(labels: np.ndarray, m: int) -> np.ndarray:
-    """uint64 P[i] holding labels[i:i+m] little-endian in m slots of 64 / m
-    bits, zero past the end; built by m - 1 shifted ORs in log2 m passes."""
+    """uint64 P[t] holding labels[t - m : t] little-endian in m slots of 64 / m
+    bits, zero outside labels; built by m - 1 shifted ORs in log2 m passes."""
     slot = 64 // m
-    packed = labels.astype(np.uint64)
+    packed = np.concatenate((np.zeros(m, dtype=np.uint8), labels), dtype=np.uint64)
     width = 1
-    while width < min(m, packed.size):
+    while width < m:
         shift = np.uint64(slot * width)
         for first in range(0, packed.size - width, _CHUNK):  # ascending: reads lie ahead of writes
             shifted = packed[first + width : first + width + _CHUNK] << shift
@@ -343,14 +344,18 @@ def _packed_letters(labels: np.ndarray, m: int) -> np.ndarray:
     return packed
 
 
-def _equal_slots(x: np.ndarray, m: int) -> np.ndarray:
-    """For x = P[a] ^ P[b] of two packings, the number of equal leading
-    letters, at most m, as int32: the trailing zero bits of x (64 when x is
-    0) over the slot width.  x is overwritten."""
-    low = x - np.uint64(1)
-    x = np.invert(x, out=x)
-    low &= x  # (x - 1) & ~x is the mask of the trailing zeros of x
-    return (np.bitwise_count(low) >> ((64 // m).bit_length() - 1)).astype(np.int32)
+def _equal_slots(x: np.ndarray, m: int, forward: bool) -> np.ndarray:
+    """For x = P[a] ^ P[b], the number of equal slots, at most m, as int32,
+    from the bottom slot (forward) or the top one: the trailing or leading
+    zero bits of x (64 when x is 0) over the slot width.  x is overwritten."""
+    if forward:
+        x &= -x  # the lowest one bit, and below it the mask of the trailing zeros
+        x -= np.uint64(1)
+    else:
+        for shift in (1, 2, 4, 8, 16, 32):  # ones from the highest one bit down
+            x |= x >> np.uint64(shift)
+        np.invert(x, out=x)  # the mask of the leading zeros
+    return (np.bitwise_count(x) >> ((64 // m).bit_length() - 1)).astype(np.int32)
 
 
 def _agree(rounds: list[np.ndarray | None], k: int, a: np.ndarray, b: np.ndarray,
@@ -384,23 +389,23 @@ def _extensions(
     text[i-l:i] == text[j-l:j] (backward).
 
     ``packed`` holds m letters per position from ``_packed_letters``: forward
-    P[i] = text[i:i+m], backward P[i] = text[i-1], text[i-2], ... (the
-    packing of the reversed text, read backwards).  One packed comparison
-    per pair counts its first m letters.  Both ends of the text need no
-    special case: the label 0 of end-of-text equals no letter, and the side
-    of the pair nearer the end (j forward, i backward) meets it while the
-    other still reads a letter.  Only the pairs with m equal letters go on
-    to binary lifting over rounds log2 m and above: an upward pass finds, on
-    a shrinking set of pairs, the largest 2^k that agrees at the pair, and a
-    downward pass adds each smaller 2^k down to m that agrees next.  Each
-    step is one ``_agree``, which reads a round that ``_doubling_ranks``
-    dropped (every other one above log2 m) as its two halves in the round
-    below.  One more packed comparison at the reached offset adds the last
-    fewer than m letters.  The last round's windows all differ, so l < 2^K,
-    K = len(rounds) - 1: the lifting stops at round K - 1 and never reads
-    round K, which may be None.  A pair with l >= m implies rounds above
-    log2 m.  Positions and lengths stay below n <= 2^30, so int32 holds
-    every sum.
+    P[i] = text[i:i+m], read from its bottom slot, and backward
+    P[i] = text[i-m:i], zero before 0, read from its top slot.  One packed
+    comparison per pair counts its first m letters.  Neither end of the text
+    needs a special case: the label 0 of end-of-text and of the pad equals
+    no letter, and the side of the pair nearer the end (j forward, i
+    backward) meets it while the other still reads a letter.  Only the
+    pairs with m equal letters go on to binary lifting over rounds log2 m
+    and above: an upward pass finds, on a shrinking set of pairs, the
+    largest 2^k that agrees at the pair, and a downward pass adds each
+    smaller 2^k down to m that agrees next.  Each step is one ``_agree``,
+    which reads a round that ``_doubling_ranks`` dropped (every other one
+    above log2 m) as its two halves in the round below.  One more packed
+    comparison at the reached offset adds the last fewer than m letters.
+    The last round's windows all differ, so l < 2^K, K = len(rounds) - 1:
+    the lifting stops at round K - 1 and never reads round K, which may be
+    None.  A pair with l >= m implies rounds above log2 m.  Positions and
+    lengths stay below n <= 2^30, so int32 holds every sum.
     """
     def start(q):
         return q if ii is None else ii[q]
@@ -409,7 +414,7 @@ def _extensions(
     for first in range(0, jj.size, _CHUNK):
         x = packed[jj[first : first + _CHUNK]]
         x ^= packed[first : first + x.size] if ii is None else packed[ii[first : first + x.size]]
-        out[first : first + x.size] = _equal_slots(x, m)
+        out[first : first + x.size] = _equal_slots(x, m, forward)
     lift = m.bit_length() - 1
     reached = [np.flatnonzero(out == m).astype(np.int32)]  # reached[t]: pairs with l >= 2^(lift + t)
     for k in range(lift + 1, len(rounds) - 1):
@@ -426,7 +431,7 @@ def _extensions(
         out[q] += _agree(rounds, k, start(q) + at, jj[q] + at, forward).astype(np.int32) << k
     q = reached[0]
     at = out[q] if forward else -out[q]
-    out[q] += _equal_slots(packed[start(q) + at] ^ packed[jj[q] + at], m)
+    out[q] += _equal_slots(packed[start(q) + at] ^ packed[jj[q] + at], m, forward)
     return out
 
 
@@ -565,49 +570,42 @@ def _candidates(text: str) -> tuple[tuple[np.ndarray, ...], partial | None]:
     n = len(text)
     if n > ENGINE_MAX_LENGTH:
         raise ParameterError(f"word of length {n} exceeds the runs engine's limit (2^30)")
-    codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    # The letter blocks of length >= 2, from one scan of "letter i + 1 equals
-    # letter i": the edges of its stretches of trues, padded by a false at
-    # each end, alternate between a block's start and its last letter.
-    edges = np.flatnonzero(np.diff(codes[1:] == codes[:-1], prepend=False, append=False))
-    edges = edges.astype(np.int32)
-    edges[1::2] += 1  # the block ends, one past their last letters
-    block_start, block_end = edges[0::2], edges[1::2]
-    labels = _letter_labels(codes)
-    del codes
+    labels = _letter_labels(np.frombuffer(text.encode("ascii"), dtype=np.uint8))
     m = _packing_width(int(labels.max()))
     rounds = _doubling_ranks(labels, m.bit_length() - 1, n)
     jj = _lyndon_ends(rounds[-1][:n])
     rounds[-1] = None  # only its length counts from here on
-    f = _extensions(rounds, _packed_letters(labels, m), m, jj, forward=True)
-    labels[:n] = labels[n - 1 :: -1]
-    b = _extensions(rounds, _packed_letters(labels, m)[::-1], m, jj, forward=False)
-    jj -= np.arange(n - 1, dtype=np.int32)  # the periods, in place
-    reach = f + b >= jj  # the pairs kept, read once for the test and the runs
-    # No block and no pair kept: no run.
-    if block_start.size == 0 and not reach.any():
-        labels[:n] = labels[n - 1 :: -1]
-        del jj, f, b, reach
-        return np.empty((3, 0), dtype=np.int32), partial(_occurrence_candidates, labels, m, rounds)
-    # The kept candidates are built once the rounds are freed, in place of
-    # their gathers, which keeps the process peak lower.
-    del rounds, labels
+    packed = _packed_letters(labels, m)  # text[i - m : i] at i, text[i : i + m] at m + i
+    f = _extensions(rounds, packed[m:], m, jj, forward=True)
+    b = _extensions(rounds, packed, m, jj, forward=False)
+    reach = np.empty(n - 1, dtype=bool)  # the pairs kept, read once for the test and the runs
+    for first in range(0, n - 1, _CHUNK):  # in slices: no full-length temporary beside the packing
+        part = slice(first, first + _CHUNK)
+        jj[part] -= np.arange(first, min(first + _CHUNK, n - 1), dtype=np.int32)  # the periods
+        np.greater_equal(f[part] + b[part], jj[part], out=reach[part])
+    if not reach.any() and (labels[1:] != labels[:-1]).all():  # no pair kept, no block: no run
+        empty = np.empty((3, 0), dtype=np.int32)
+        return empty, partial(_occurrence_candidates, labels, packed[m:], m, rounds)
+    del rounds, packed  # the blocks and kept candidates come after: a lower process peak
+    # The letter blocks of length >= 2: the edges of the stretches of equal
+    # neighbours (end-of-text has none), padded by a false at each end,
+    # alternate between a block's start and its last letter.
+    edges = np.flatnonzero(np.diff(labels[1:] == labels[:-1], prepend=False, append=False))
+    edges = edges.astype(np.int32)
+    edges[1::2] += 1  # the block ends, one past their last letters
+    block_start, block_end = edges[0::2], edges[1::2]
     keep = np.flatnonzero(reach).astype(np.int32)
-    del reach
     f, b, period = f[keep], b[keep], jj[keep]
-    del jj
+    del jj, reach
     f += keep
     f += period  # the ends
     keep -= b  # the starts
-    return (
-        np.concatenate((block_start, keep)),
-        np.concatenate((block_end, f)),
-        np.concatenate((np.ones(block_start.size, dtype=np.int32), period)),
-    ), None
+    period = np.concatenate((np.ones(block_start.size, dtype=np.int32), period))
+    return (np.concatenate((block_start, keep)), np.concatenate((block_end, f)), period), None
 
 
 def _occurrence_candidates(
-    labels: np.ndarray, m: int, rounds: list[np.ndarray | None]
+    labels: np.ndarray, packed: np.ndarray, m: int, rounds: list[np.ndarray | None]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidates (start, end, period) that hold the best extension of any
     word: the trivial (0, 1, 1) and one champion per doubling level k, the
@@ -630,20 +628,20 @@ def _occurrence_candidates(
     more doubling step from an int32 copy of the round below (a packed step
     overwrites it) with that round's largest rank as the bound; a sorted
     step hands back its sort, which is then this level's, and the rebuilt
-    round serves again as the next level's ``after``.  The last round's
-    windows all differ, so its test is skipped and the round may be None.
-    Windows under m letters are keyed by packed letters (32 bits at most,
-    ranks 31) beside a position in one sort.  The labels, m and rounds are
-    those of ``_candidates``; the rounds are used up.
+    round serves again in the next level's test.  The last round's windows
+    all differ, so its test is skipped and the round may be None.  Windows
+    under m letters are keyed by packed letters (32 bits at most, ranks 31)
+    beside a position in one sort, and tested at the pairs alone.  The labels, packing
+    P[i] = text[i:i+m], m and rounds are those of ``_candidates``; the
+    rounds are used up.
     """
     n = labels.size - 1
     lift = m.bit_length() - 1
-    packed = _packed_letters(labels, m)
     pbits = (n - 1).bit_length()
 
-    def windows(k):
-        """Keys equal exactly where the 2^k-letter windows are equal."""
-        return rounds[k][:n] if k >= lift else packed[:n] & np.uint64((1 << ((64 // m) << k)) - 1)
+    def windows(k, at=slice(n)):
+        """Keys at ``at``, equal exactly where their 2^k-letter windows are."""
+        return rounds[k][at] if k >= lift else packed[at] & np.uint64((1 << ((64 // m) << k)) - 1)
 
     best = [(1, 1, 0)]
     last = len(rounds) - 1
@@ -658,13 +656,12 @@ def _occurrence_candidates(
             rounds[k] = key
             del key
         if sort is None:
-            sort = _sorted_keys(windows(k).astype(np.uint64), pbits)
+            sort = _sorted_keys(windows(k).astype(np.uint64, copy=False), pbits)
         i, j = _tied_pairs(*sort)
         del sort
         keep = labels[i - 1] != labels[j - 1]  # labels[-1] is end-of-text
         if k + 1 < last:
-            after = windows(k + 1)
-            keep &= after[i] != after[j]
+            keep &= windows(k + 1, i) != windows(k + 1, j)
         i, j = i[keep], j[keep]
         if i.size:
             f = _extensions(rounds, packed, m, j, forward=True, ii=i)

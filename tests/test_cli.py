@@ -872,7 +872,11 @@ REFUSALS = {
                               "prime factor below 1000000)"),
     "literal-x0": ((*G3, "--x0", "1/", "-N", "7"), "--x0: expected an unsigned integer (position 2)"),
     "literal-alpha": (("generate", "rotation", "--alpha", "", "--beta", "1/2", "-N", "7"),
+                      "--alpha: expected an unsigned integer (position 0)"),
+    "literal-blank": (("generate", "rotation", "--alpha", " ", "--beta", "1/2", "-N", "7"),
                       "--alpha: expected an unsigned integer (position 1)"),
+    "literal-unclosed": (("generate", "3iet", "--eps", "(1", "--ell", "4/5", "-N", "7"),
+                         "--eps: expected '+' or '-' (position 2)"),
     # lists
     "list-empty-eps": (("experiment", "bounds-grid", "--eps", ",", "--ell", "7/10", "-N", "100"),
                        "--eps: empty list"),
@@ -988,16 +992,16 @@ REFUSALS = {
     "eps-terminates-theorem3": (("verify", "theorem3", "--eps", "1/3", "--nmax", "3"),
                                 f"--eps: a_2 {ENDS} a_1 and the expansion terminates"),
     "eps-outside-theorem3": (("verify", "theorem3", "--eps", "3/2"),
-                             "cf_expand requires a value in the open interval (0, 1)"),
+                             "--eps: cf_expand requires a value in the open interval (0, 1)"),
     "level-below-minus-one": (("generate", "standard", "--cf", "0,1", "--level", "-2"),
-                              "level must be >= -1"),
+                              "--level: level must be >= -1"),
     "level-past-max-letters": (("generate", "standard", "--cf", "0,10000000000", "--level", "1"),
                                "--level: s_1 has more than 2147483648 letters"),
     "level-past-max-letters-unformatted": (("generate", "standard", "--cf", "0" + ",1" * 30000,
                                             "--level", "30000"),
                                            "--level: s_30000 has more than 2147483648 letters"),
     "blocks-level-zero": (("verify", "blocks", "--cf", "0,1,1,1,1,1,1,1,1", "--level", "0", "-N",
-                           "10"), "level must be >= 1"),
+                           "10"), "--level: level must be >= 1"),
     # verify theorem3 --nmax
     "theorem3-nmax-past-states": (("verify", "theorem3", "--eps", GOLDEN_EPS, "-N", "1000",
                                    "--nmax", "25000"), "--nmax: must be <= 4096 (got 25000)"),
@@ -1016,14 +1020,14 @@ REFUSALS = {
                                 "--nmax", "12"), "projections of length 125 are too short for "
                                                  "depth 12"),
     # index words and files, and the output file
-    "index-empty-word": (("index", "--word", ""), "word must be nonempty"),
+    "index-empty-word": (("index", "--word", ""), "--word: word must be nonempty"),
     "index-non-ascii-word": (("index", "--word", "ab\xe9"),
-                             "alphabet letters must be single ASCII characters"),
+                             "--word: alphabet letters must be single ASCII characters"),
     "index-oracle-guard": (("index", "--kind", "characteristic", "--cf", "0" + ",1" * 19, "-N",
                             "6000", "--oracle"), "word of length 6000 exceeds the oracle guard "
                                                  "(5000)"),
     "file-missing": (("index", "--file", "{missing}"),
-                     "[Errno 2] No such file or directory: '{missing}'"),
+                     "--file: [Errno 2] No such file or directory: '{missing}'"),
     "file-empty": (("index", "--file", "{file}"), "{file}: no word found"),
     "file-blank": (("index", "--file", "{file}"), "{file}: no word found"),
     "file-non-ascii-word": (("index", "--file", "{file}"), "{file}: words must be plain ASCII"),
@@ -1037,7 +1041,8 @@ REFUSALS = {
     "file-engine-blank-lines": (("index", "--file", "{file}"), PAST_CAP.format(1000, 8192)),
     "file-engine-blanks-then-word": (("index", "--file", "{file}"), PAST_CAP.format(1000, 8192)),
     "out-missing-directory": (("index", "--word", "abaab", "--out", "{missing}/report.json"),
-                              "[Errno 2] No such file or directory: '{missing}/report.json'"),
+                              "--out: [Errno 2] No such file or directory: "
+                              "'{missing}/report.json'"),
 }
 AUDIT_FILES = {
     "file-empty": "",

@@ -20,6 +20,7 @@ from ietlab.repetitions import (
     _doubling_ranks,
     _letter_labels,
     _occurrence_candidates,
+    _packed_letters,
     _packing_width,
     max_runs,
     word_index_estimate,
@@ -83,7 +84,8 @@ def test_occurrence_candidates_hold_the_sweep_best(text):
     labels = _letter_labels(np.frombuffer(text.encode("ascii"), dtype=np.uint8))
     m = _packing_width(int(labels.max()))
     rounds = _doubling_ranks(labels, m.bit_length() - 1, len(text))
-    assert _best_extension(*_occurrence_candidates(labels, m, rounds)) == fractional_best(text)
+    packed = _packed_letters(labels, m)[m:]
+    assert _best_extension(*_occurrence_candidates(labels, packed, m, rounds)) == fractional_best(text)
 
 
 @pytest.mark.parametrize("text", [vtm_prefix(5000), "abaababaab" * 300])

@@ -27,6 +27,7 @@ from ietlab.repetitions import (
     _best_extension,
     _candidates,
     _doubling_ranks,
+    _equal_slots,
     _extensions,
     _first_above,
     _letter_labels,
@@ -205,20 +206,47 @@ def test_packing_widths():
     assert {k: _packing_width(k) for k in ALPHABETS} == ALPHABETS
 
 
+def reference_equal_slots(x, m, forward):
+    """Equal (zero) slots of x one slot at a time, from the bottom slot
+    (forward) or from the top slot (backward)."""
+    width = 64 // m
+    slots = [(x >> (width * s)) & ((1 << width) - 1) for s in range(m)]
+    if not forward:
+        slots.reverse()
+    return next((s for s, slot in enumerate(slots) if slot), m)
+
+
+@pytest.mark.parametrize("m", sorted(set(ALPHABETS.values())))
+def test_equal_slots_from_either_end(m):
+    width = 64 // m
+    rng = random.Random(m)
+    values = [0, 2**64 - 1, 1, 1 << 63]
+    for s in (0, m - 1):  # a single differing bottom or top slot, lowest and highest bit
+        values += [1 << (width * s), (1 << width) - 1 << (width * s), 1 << (width * s + width - 1)]
+    values += [1 << rng.randrange(64) for _ in range(100)]
+    values += [rng.getrandbits(64) & ~((1 << rng.randrange(65)) - 1) for _ in range(100)]
+    values += [rng.getrandbits(rng.randrange(65)) for _ in range(100)]
+    for forward in (True, False):
+        got = _equal_slots(np.array(values, dtype=np.uint64), m, forward)
+        assert got.dtype == np.int32
+        assert got.tolist() == [reference_equal_slots(x, m, forward) for x in values], forward
+
+
 def check_extensions(text, jj):
-    """`_extensions` as the engine calls it, both directions, against the
-    letter-by-letter oracle."""
+    """`_extensions` as the engine calls it, both directions on one padded
+    packing, against the letter-by-letter oracle."""
     n = len(text)
     labels = _letter_labels(np.frombuffer(text.encode("ascii"), dtype=np.uint8))
     m = _packing_width(int(labels.max()))
     rounds = _doubling_ranks(labels, m.bit_length() - 1, n)
     jj = np.asarray(jj, dtype=np.int32)
-    forward = _extensions(rounds, _packed_letters(labels, m), m, jj, forward=True)
-    labels[:n] = labels[n - 1 :: -1]
-    backward = _extensions(rounds, _packed_letters(labels, m)[::-1], m, jj, forward=False)
+    packed = _packed_letters(labels, m)
+    forward = _extensions(rounds, packed[m:], m, jj, forward=True)
+    backward = _extensions(rounds, packed, m, jj, forward=False)
     for i, j in enumerate(jj.tolist()):
         assert forward[i] == naive_extension(text, i, j, True), (i, j)
         assert backward[i] == naive_extension(text, i, j, False), (i, j)
+    return forward, backward
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -290,6 +318,23 @@ def test_extensions_over_dropped_rounds(data):
     check_extensions(text, ends)
     seed = data.draw(st.integers(0, 2**32 - 1))
     check_extensions(text, np.random.default_rng(seed).integers(np.arange(1, n), n + 1))
+
+
+@pytest.mark.parametrize("k", sorted(ALPHABETS))
+def test_backward_extensions_stop_at_the_pad(k):
+    # A stretch of period p from position 0: the pair (i, i + p) agrees on
+    # every letter before i, so its backward window reaches the zero pad
+    # before position 0 and its extension is exactly i, whether the pad
+    # meets the first packed comparison (i < m) or the last one.
+    m = ALPHABETS[k]
+    rng = random.Random(k)
+    for p in sorted({1, 2, 3, m - 1, m + 1}):
+        root = "".join(rng.choice(LETTERS[:k]) for _ in range(p))
+        stretch = (root * (4 * m // p + 2))[: 4 * m + 1 + p]
+        text = stretch + LETTERS[:k]  # every letter occurs, so the engine packs m
+        backward = check_extensions(text, [i + p for i in range(len(text) - 1)
+                                           if i + p <= len(text)])[1]
+        assert backward[: 4 * m + 2].tolist() == list(range(4 * m + 2)), p
 
 
 @pytest.mark.parametrize("span", [2**16, 2**22])
