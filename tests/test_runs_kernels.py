@@ -1,9 +1,10 @@
 """The numpy kernels inside the runs engine against direct references.
 
 `_lyndon_ends` is compared with the sequential next-smaller/next-greater
-walk, `_first_above` with a scan, `_extensions` with a letter-by-letter
-comparison, `_ranked` with `np.unique` and a stable argsort, and every kept
-doubling round with the order of its windows; the doubling sort is checked
+walk, `_first_above` with a scan, `_equal_slots` with a slot-by-slot count,
+`_extensions` with a letter-by-letter comparison, `_ranked` with
+`np.unique` and a stable argsort, and every kept doubling round with the
+order of its windows; the doubling sort is checked
 on two words longer than 2^21 letters, where one packed sort key uses all
 64 bits and where the keys no longer fit and two sorting passes take over.
 The rounds and runs of two long words are pinned by digests.
