@@ -390,7 +390,7 @@ def _cmd_verify(args) -> int:
     if args.check == "abmp":
         params = _threeiet_params(args, "verify abmp")
         depth = ABMP_DEPTH if args.nmax is None else args.nmax
-        projection = verify_projections(params, args.length, depth)
+        projection = _flagged("-N/--nmax", verify_projections, params, args.length, depth)
         report = {"check": "abmp", **projection.to_json_dict()}
         passed = projection.passed
     elif args.check == "bounds":

@@ -45,7 +45,7 @@ class RotationParams:
 
 # Longest prefix the orbit coder writes, part of the CLI contract (-N).  A
 # 3iet letter takes at most two rotation steps, so rotation indices stay
-# below 2**32, far inside the 2**64 the fixed-point proof needs (_orbit_word).
+# below 2**32, as the 32-bit level of the fixed-point proof needs (_orbit_word).
 MAX_LETTERS = 2**31
 # Rotation indices per numpy block.
 _BLOCK = 2**15
@@ -79,28 +79,40 @@ def _orbit_word(
     right end being 1; the interval of y is the first whose right end
     exceeds it, and the letter None deletes that interval's visits.
 
-    Each block of indices is coded in 64-bit fixed point, and every y_m the
-    fixed-point value cannot place is coded exactly.  With X, A and E_c the
-    floors of 2^64 times x0, alpha and each cut c < 1, Y_m = (X + m*A) mod
-    2^64 is exact uint64 arithmetic.  X + m*A <= 2^64*(x0 + m*alpha)
+    Each block is coded in 32-bit fixed point; the few points this cannot
+    place go to 64-bit fixed point, and the few of those to exact arithmetic.
+    With X, A and E_c the floors of 2^64 times x0, alpha and each cut c < 1,
+    let Y_m = (X + m*A) mod 2^64.  X + m*A <= 2^64*(x0 + m*alpha)
     < X + m*A + m + 1, so Y_m <= 2^64*y_m < Y_m + m + 1 unless a multiple of
     2^64 lies in (Y_m, Y_m + m].  So Y_m places y_m on the correct side of
     every cut unless (E_c - Y_m) mod 2^64 <= m for some c, the cut 0 = 1
-    counting as E = 0.  A block tests against its largest index, which only
-    adds exact rechecks.
+    counting as E = 0.
+
+    The block from index m is anchored on H = Y_m >> 32: with A32 = A >> 32
+    and E32_c = E_c >> 32 = floor(2^32*c), Z_j = (H + j*A32) mod 2^32.  With
+    r = Y_m mod 2^32 and s = A mod 2^32, 2^32*(x0 + (m+j)*alpha) = Z_j + R
+    modulo 2^32, where R = (r + j*s + f)/2^32 and 0 <= f < m + j + 1, so
+    0 <= R < j + 1 + m/2^32 < j + 2 as m < 2^32.  A wrap past 2^32 needs
+    (0 - Z_j) mod 2^32 <= j + 1.  Else Z_j < E32_c <= 2^32*y_(m+j) needs
+    E32_c - Z_j <= j + 1, and E32_c <= Z_j <= 2^32*y_(m+j) < 2^32*c needs
+    Z_j = E32_c.  So Z_j places y_(m+j) on the correct side of every cut
+    unless (E32_c - Z_j) mod 2^32 <= j + 1 for some c, the cut 0 = 1 counting
+    as E32 = 0; thanks to the anchor, this bound does not grow with m.  Both
+    levels test a block against its largest index, which only adds rechecks.
     """
     require_length(n_letters)
     ends = tuple(end for end, _ in cuts)
     # E_c of the cuts c < 1, in order, then E = 0 for the cut 0 = 1
-    fixed = [np.uint64((end * 2**64).floor()) for end in ends[:-1]] + [np.uint64(0)]
+    fixed = [int((end * 2**64).floor()) for end in ends[:-1]] + [0]
+    coarse = [np.uint32(cut >> 32) for cut in fixed]
     # piece index -> letter, the pieces of the letter None deleted
     to_letter = bytes.maketrans(bytes(range(len(cuts))),
                                 bytes(ord(letter or "\0") for _, letter in cuts))
     deleted = bytes(i for i, (_, letter) in enumerate(cuts) if letter is None)
     x, a = (x0 * 2**64).floor(), (alpha * 2**64).floor()
-    steps = np.arange(_BLOCK, dtype=np.uint64)
-    steps *= np.uint64(a)
-    y, gap = np.empty(_BLOCK, dtype=np.uint64), np.empty(_BLOCK, dtype=np.uint64)
+    steps = np.arange(_BLOCK, dtype=np.uint32)
+    steps *= np.uint32(a >> 32)
+    z, gap = np.empty(_BLOCK, dtype=np.uint32), np.empty(_BLOCK, dtype=np.uint32)
     piece, near, hit = (np.empty(_BLOCK, dtype=dtype) for dtype in (np.uint8, bool, bool))
     out = bytearray(n_letters)
     filled = m = 0
@@ -109,21 +121,22 @@ def _orbit_word(
         size = min(_BLOCK, n_letters - filled)
         if m + size > 2 * MAX_LETTERS:
             raise ParameterError("the orbit needs rotation indices beyond 2**32")
-        ys, pieces, nears, hits, gaps = y[:size], piece[:size], near[:size], hit[:size], gap[:size]
-        np.add(steps[:size], np.uint64((x + m * a) % 2**64), out=ys)
-        # the piece is the number of cuts c < 1 with E_c <= Y
-        pieces.fill(0)
-        for cut in fixed[:-1]:
-            np.greater_equal(ys, cut, out=hits)
-            np.add(pieces, hits, out=pieces)
-        last = np.uint64(m + size - 1)
-        nears.fill(False)
-        for cut in fixed:
-            np.subtract(cut, ys, out=gaps)
-            np.less_equal(gaps, last, out=hits)
-            nears |= hits
+        zs, pieces, nears, hits, gaps = z[:size], piece[:size], near[:size], hit[:size], gap[:size]
+        np.add(steps[:size], np.uint32(((x + m * a) % 2**64) >> 32), out=zs)
+        # the piece is the number of cuts c < 1 with E32_c <= Z
+        np.greater_equal(zs, coarse[0], out=pieces.view(bool))
+        for cut in coarse[1:-1]:
+            pieces += np.greater_equal(zs, cut, out=hits)
+        # near: (E32_c - Z) mod 2^32 <= size for some c, then the 64-bit test
+        np.less_equal(np.subtract(coarse[-1], zs, out=gaps), size, out=nears)
+        for cut in coarse[:-1]:
+            nears |= np.less_equal(np.subtract(cut, zs, out=gaps), size, out=hits)
         for j in np.flatnonzero(nears).tolist():
-            pieces[j] = _exact_piece(x0, alpha, m + j, ends)
+            y = (x + (m + j) * a) % 2**64
+            if any((cut - y) % 2**64 <= m + size - 1 for cut in fixed):
+                pieces[j] = _exact_piece(x0, alpha, m + j, ends)
+            else:
+                pieces[j] = sum(y >= cut for cut in fixed[:-1])
         block = pieces.tobytes().translate(to_letter, deleted)
         out[filled : filled + len(block)] = block
         filled += len(block)

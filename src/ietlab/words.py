@@ -7,7 +7,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .repetitions import _doubling_ranks, _first_of_each_value, _letter_labels, _sorted_keys
+from .repetitions import (_CHUNK, _doubling_ranks, _first_of_each_value, _letter_labels,
+                          _sorted_keys)
 
 BINARY = ("0", "1")
 TERNARY = ("A", "B", "C")
@@ -111,12 +112,13 @@ def _factor_pass(word: Word, depth: int, balance: bool = False) -> tuple[list[in
 
     Every position starts a window of ``depth`` letters, coded by Horner's
     rule over b-bit letter indices 1..k in alphabet order and padded past
-    the end with the sentinel 0, b = bit length of k for k letters.  In
-    sorted order, the length-n prefixes of the distinct windows take
-    1 + c(n) values, c(n) the number of neighbour pairs whose common
-    prefix is shorter than n.  The n - 1 windows that start within n - 1
-    letters of the end each have a distinct prefix holding the sentinel,
-    so p(n) = c(n) - n + 2.
+    the end with the sentinel 0, b = bit length of k for k letters; codes
+    of at most 64 bits are built for all windows at once by in-place
+    doubling (``_window_codes``).  In sorted order, the length-n prefixes
+    of the distinct windows take 1 + c(n) values, c(n) the number of
+    neighbour pairs whose common prefix is shorter than n.  The n - 1
+    windows that start within n - 1 letters of the end each have a
+    distinct prefix holding the sentinel, so p(n) = c(n) - n + 2.
 
     Windows of more than 64 bits are cut into chunks of 32 // b letters
     and ordered by ``_sorted_keys`` on the last round, the only one kept,
@@ -149,7 +151,7 @@ def _factor_pass(word: Word, depth: int, balance: bool = False) -> tuple[list[in
     chunk = depth if depth * bits <= 64 else 32 // bits
     spans = [(first, min(depth, first + chunk)) for first in range(0, depth, chunk)]
     if len(spans) == 1:
-        key = _window_codes(letters, slice(0, len(text)), len(text), 0, depth, bits)
+        key = _window_codes(letters, len(text), depth, bits)
         del letters  # the codes hold every letter needed from here on
         key.sort()
         distinct = key[_first_of_each_value(key)]
@@ -166,9 +168,15 @@ def _factor_pass(word: Word, depth: int, balance: bool = False) -> tuple[list[in
         order, new = _sorted_keys(key[:-1].astype(np.uint64), (len(text) - 1).bit_length())
         starts = order[np.concatenate(([True], new))]  # each window's first start
         del key, order, new
-        codes = (_window_codes(letters, starts, len(starts), first, last, bits)
-                 for first, last in spans)
         size = len(starts)
+
+        def gathered(first, last):  # letters first..last-1 by Horner's rule
+            key = np.zeros(size, dtype=np.uint32)
+            for j in range(first, last):
+                key <<= bits
+                key |= letters[j:][starts]
+            return key
+        codes = (gathered(first, last) for first, last in spans)
 
         def columns(first, last):
             return letters[starts + np.arange(first, last)[:, None]]
@@ -211,18 +219,27 @@ def _first_unbalanced(columns, depth: int, size: int) -> int:
     return 0
 
 
-def _window_codes(letters: np.ndarray, starts, size: int, first: int, last: int,
-                  bits: int) -> np.ndarray:
-    """Codes of letters first..last-1 of the ``size`` windows at ``starts``
-    (a slice or an index array)."""
+def _window_codes(letters: np.ndarray, size: int, depth: int, bits: int) -> np.ndarray:
+    """Codes of the ``depth``-letter windows at 0..size-1 of ``letters``,
+    padded to size + depth - 1 letters, by in-place doubling over the binary
+    expansion of depth: code_2w[i] = code_w[i] << bits*w | code_w[i + w] and
+    code_(w+1)[i] = code_w[i] << bits | letters[i + w].  Each step runs in
+    ascending ``_CHUNK`` slices, whose reads lie at or ahead of their writes."""
     # The smallest unsigned type of at least 16 bits (numpy sorts uint8
     # about ten times slower than uint16).
-    dtype = np.min_scalar_type((1 << max(bits * (last - first), 9)) - 1)
-    key = np.zeros(size, dtype=dtype)
-    for j in range(first, last):
-        key <<= bits
-        key |= letters[j:][starts]
-    return key
+    code = letters.astype(np.min_scalar_type((1 << max(bits * depth, 9)) - 1))
+    shifted = np.empty(min(_CHUNK, code.size), dtype=code.dtype)
+    width = 1
+    for bit in bin(depth)[3:]:
+        # double the width, then for a 1 bit append one letter
+        for source, step in [(code, width)] + [(letters, 1)] * (bit == "1"):
+            valid = code.size + 1 - width - step  # windows of width + step letters
+            for first in range(0, valid, _CHUNK):
+                last = min(first + _CHUNK, valid)
+                part = np.left_shift(code[first:last], bits * step, out=shifted[: last - first])
+                np.bitwise_or(part, source[first + width : last + width], out=code[first:last])
+            width += step
+    return code[:size]
 
 
 class Morphism:

@@ -482,6 +482,19 @@ def factors(word, n):
     return {word.text[i : i + n] for i in range(len(word) - n + 1)}
 
 
+def horner_window_codes(letters, size, depth, bits):
+    """Codes of the depth-letter windows at 0..size-1 of a sequence of
+    letter indices, one letter at a time by Horner's rule over ``bits``-bit
+    letters, the first letter highest."""
+    codes = []
+    for start in range(size):
+        code = 0
+        for letter in letters[start : start + depth]:
+            code = code << bits | int(letter)
+        codes.append(code)
+    return codes
+
+
 def sequential_is_balanced(word, n_max):
     """``words.is_balanced`` by one sliding count per length.
 

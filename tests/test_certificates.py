@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,7 @@ from oracles import (
     PEAK_KIB_SOURCE,
     factors,
     fib_char_prefix,
+    horner_window_codes,
     sequential_is_balanced,
     sequential_scan,
 )
@@ -198,6 +200,42 @@ class TestFactorComplexities:
         assert len(word) > 2**17
         for depth in (33, 400):
             assert word.factor_complexities(depth) == list(range(2, depth + 2)), depth
+
+
+SMALL_CHUNK = 7
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Slices of 7 windows, so short words cross many slice ends."""
+    monkeypatch.setattr(words_module, "_CHUNK", SMALL_CHUNK)
+
+
+class TestWindowCodes:
+    """The doubling build of the one-sort path, every depth whose code fits
+    64 bits (1..32 at one and two bits a letter, 1..21 at three)."""
+
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_doubling_against_horner(self, small_chunks, bits):
+        rng = random.Random(bits)
+        for depth in range(1, min(32, 64 // bits) + 1):
+            # words shorter than, as long as and longer than the depth
+            for size in sorted({max(1, depth - 1), depth, depth + 1, 5 * SMALL_CHUNK + 3}):
+                letters = np.zeros(size + depth - 1, dtype=np.uint8)
+                letters[:size] = [rng.randrange(1 << bits) for _ in range(size)]
+                codes = words_module._window_codes(letters, size, depth, bits)
+                assert codes.tolist() == horner_window_codes(letters, size, depth, bits), \
+                    (depth, size)
+
+    @pytest.mark.parametrize("alphabet", [("0",), TERNARY, tuple("ABCDEFG")])
+    def test_complexities_against_distinct_substrings(self, small_chunks, alphabet):
+        # one, three and seven letters take one, two and three bits
+        bits = len(alphabet).bit_length()
+        rng = random.Random(len(alphabet))
+        for length in (40, 200):
+            word = Word("".join(rng.choice(alphabet) for _ in range(length)), alphabet)
+            for depth in range(1, min(32, 64 // bits) + 1):
+                assert word.factor_complexities(depth) == expected_complexities(word, depth)
 
 
 class TestBalance:

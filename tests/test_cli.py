@@ -1017,8 +1017,8 @@ REFUSALS = {
     "convergence-no-period": (("experiment", "index-convergence", "--eps", NO_PERIOD_EPS, "--ell",
                                "9/10", "--lengths", "100,1000"), NO_PERIOD),
     "abmp-projections-short": (("verify", "abmp", "--eps", GOLDEN_EPS, "--ell", "4/5", "-N", "100",
-                                "--nmax", "12"), "projections of length 125 are too short for "
-                                                 "depth 12"),
+                                "--nmax", "12"), "-N/--nmax: projections of length 125 are too "
+                                                 "short for depth 12"),
     # index words and files, and the output file
     "index-empty-word": (("index", "--word", ""), "--word: word must be nonempty"),
     "index-non-ascii-word": (("index", "--word", "ab\xe9"),

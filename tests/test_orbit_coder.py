@@ -201,6 +201,45 @@ class TestSmallBlocks:
         assert text == sequential_orbit_word(params.x0, threeiet_pieces(params), 2000)
 
 
+class TestCoarseLevel:
+    """The 32-bit level sends a point on to the 64-bit level when its coarse
+    value lies within the block bound below a cut, or on it."""
+
+    def test_cut_between_the_two_resolutions(self, rechecked):
+        # beta = 1/3 + 2^-40: y_0 = 1/3 and beta agree to 32 bits, so the
+        # coarse level cannot place y_0, and differ by about 2^24 at 64 bits,
+        # so the 64-bit level places it without the exact coder.
+        beta = THIRD + QuadraticReal(1, 0, 0, 2**40)
+        assert (beta * 2**32).floor() == (THIRD * 2**32).floor()
+        word = rotation_word(RotationParams(SQRT2_MINUS_1, beta, THIRD), 500)
+        assert 0 not in rechecked
+        assert word.text[0] == "0"
+        assert word.text == sequential_orbit_word(THIRD, rotation_pieces(SQRT2_MINUS_1, beta), 500)
+
+    def test_late_point_at_the_block_bound(self, small_blocks, rechecked):
+        # A mod 2^32 = 2^32 - 1, and Y_M mod 2^32 = 2^32 - 1 at the block
+        # start M: the coarse value Z_j of the last index of the block, j = 63,
+        # lies j + 1 below 2^32 * y_(M+j), and the cut is y_(M+j) itself.
+        # Only the full block bound flags it, and only the anchor on Y_M, not
+        # on X + M*A32, keeps Z_j this close.
+        alpha = QuadraticReal(0x9E3779B9 * 2**32 + 1, -1, 2, 2**64)  # about 0.618
+        block, j = 20, SMALL_BLOCK - 1
+        start = block * SMALL_BLOCK
+        x = 0x2545F491 * 2**32 + start - 1
+        x0 = QuadraticReal(2 * x + 1, 0, 0, 2**65)
+        k = start + j
+        beta = (x0 + k * alpha).fract()
+        a = (alpha * 2**64).floor()
+        assert (x0 * 2**64).floor() == x and a % 2**32 == 2**32 - 1
+        anchor = ((x + start * a) % 2**64) >> 32
+        coarse = (anchor + j * (a >> 32)) % 2**32
+        assert (beta * 2**32).floor() - coarse == j + 1 == SMALL_BLOCK
+        n = k + 50
+        word = rotation_word(RotationParams(alpha, beta, x0), n)
+        assert k in rechecked and word.text[k] == "1"  # y_k = beta lies in [beta, 1)
+        assert word.text == sequential_orbit_word(x0, rotation_pieces(alpha, beta), n)
+
+
 SMALL_PROPERTY = settings(PROPERTY, max_examples=20)
 
 
