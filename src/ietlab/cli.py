@@ -22,13 +22,11 @@ from .exactreal import (
     QuadraticReal,
     cf_expand,
     parse_quadratic,
-    require_same_field,
 )
 from .repetitions import ENGINE_MAX_LENGTH, brute_force_index, word_index_estimate
 from .sturmian import (
     MAX_LETTERS,
     RotationParams,
-    _require_unit_interval,
     block_decompose,
     characteristic_prefix,
     require_length,
@@ -111,17 +109,40 @@ def _require(args, names: dict[str, str], kind: str):
         raise ParameterError(f"{kind} requires {', '.join(missing)}")
 
 
-def _validate_flags(
-    eps: QuadraticReal, ell: QuadraticReal, x0: QuadraticReal
-) -> ThreeIetParams:
-    """``ThreeIetParams``, naming the flags of a field mismatch."""
-    require_same_field(("--eps", eps), ("--ell", ell), ("--x0", x0))
-    return ThreeIetParams(eps, ell, x0)
+# The flag of each parameter that ThreeIetParams and RotationParams refuse by
+# name.  The sturmian kind's rotation (1 - eps, eps) reads alpha and beta off
+# --eps: alpha = 1 - eps is irrational and lies in (0, 1) exactly when eps does.
+PARAMETER_FLAGS = {"epsilon": "--eps", "ell": "--ell", "x0": "--x0", "alpha": "--alpha",
+                   "beta": "--beta"}
+STURMIAN_FLAGS = {**PARAMETER_FLAGS, "alpha": "--eps", "beta": "--eps"}
+
+
+def _parameters(build, values: dict, *args, flags=PARAMETER_FLAGS, at: str = ""):
+    """build(*args), its refusal worded with ``flags`` and the flag ``values``;
+    ``at`` ends it, as the grid point of a sweep."""
+    try:
+        return build(*args)
+    except ParameterError as exc:
+        if not exc.names:
+            raise
+        named = " and ".join(flags[name] for name in exc.names)
+        if len(exc.names) > 1:
+            raise ParameterError(f"{named} {exc.rest}{at}") from None
+        limit = f", where {exc.limit[0]} = {exc.limit[1]}" if exc.limit else ""
+        raise ParameterError(f"{named}: {exc.rest} (got {values[named]}{limit}){at}") from None
+
+
+def _threeiet(eps: QuadraticReal, ell: QuadraticReal, x0: QuadraticReal,
+              grid: bool = False) -> ThreeIetParams:
+    """ThreeIetParams, refused by flag, and in a grid at its (eps, ell) point."""
+    at = f" at --eps {eps} --ell {ell}" if grid else ""
+    values = {"--eps": eps, "--ell": ell, "--x0": x0}
+    return _parameters(ThreeIetParams, values, eps, ell, x0, at=at)
 
 
 def _threeiet_params(args, kind: str) -> ThreeIetParams:
     _require(args, {"eps": "--eps", "ell": "--ell", "length": "-N"}, kind)
-    return _validate_flags(
+    return _threeiet(
         _number(args.eps, "--eps"),
         _number(args.ell, "--ell"),
         _number(args.x0, "--x0"),
@@ -240,18 +261,16 @@ def _build_word(args) -> Word:
         _require(args, {"eps": "--eps", "length": "-N"}, "generate sturmian")
         eps = _number(args.eps, "--eps")
         x0 = _number(args.x0, "--x0")
-        require_same_field(("--eps", eps), ("--x0", x0))
-        if eps.is_rational:
-            raise ParameterError("epsilon must be irrational")
-        _require_unit_interval(eps, "epsilon", closed_left=False)
-        return rotation_word(RotationParams(1 - eps, eps, x0), args.length)
+        params = _parameters(RotationParams, {"--eps": eps, "--x0": x0}, 1 - eps, eps, x0,
+                             flags=STURMIAN_FLAGS)
+        return rotation_word(params, args.length)
     if kind == "rotation":
         _require(args, {"alpha": "--alpha", "beta": "--beta", "length": "-N"}, "generate rotation")
         alpha = _number(args.alpha, "--alpha")
         beta = _number(args.beta, "--beta")
         x0 = _number(args.x0, "--x0")
-        require_same_field(("--alpha", alpha), ("--beta", beta), ("--x0", x0))
-        return rotation_word(RotationParams(alpha, beta, x0), args.length)
+        values = {"--alpha": alpha, "--beta": beta, "--x0": x0}
+        return rotation_word(_parameters(RotationParams, values, alpha, beta, x0), args.length)
     if kind == "3iet":
         return threeiet_word(_threeiet_params(args, "generate 3iet"), args.length)
     if kind == "characteristic":
@@ -422,7 +441,7 @@ def _experiment_ell_sweep(args) -> list[dict]:
     eps = _number(args.eps, "--eps")
     ells = _number_list(args.ell, "--ell")
     x0 = _number(args.x0, "--x0")
-    grid = [_validate_flags(eps, ell, x0) for ell in ells]
+    grid = [_threeiet(eps, ell, x0, grid=True) for ell in ells]
     rows = []
     for params in grid:
         word = threeiet_word(params, args.length)
@@ -447,7 +466,7 @@ def _experiment_bounds_grid(args) -> list[dict]:
     eps_values = _number_list(args.eps, "--eps")
     ells = _number_list(args.ell, "--ell")
     x0 = _number(args.x0, "--x0")
-    grid = [_validate_flags(eps, ell, x0) for eps in eps_values for ell in ells]
+    grid = [_threeiet(eps, ell, x0, grid=True) for eps in eps_values for ell in ells]
     rows = []
     for params in grid:
         bound = bound_check(params, args.length)
@@ -476,7 +495,7 @@ def _experiment_index_convergence(args) -> list[dict]:
     for n in lengths:
         require_length(n, "--lengths")
     _require_memory(args, max(lengths), "--lengths")
-    params = _validate_flags(eps, ell, x0)
+    params = _threeiet(eps, ell, x0)
     _, lower, _ = index_bounds(params.epsilon)
     word = threeiet_word(params, max(lengths))
     rows = []

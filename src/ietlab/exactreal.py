@@ -340,9 +340,9 @@ def require_same_field(*named: tuple[str, QuadraticReal]) -> None:
         if first is None:
             first = (name, value.d)
         elif value.d != first[1]:
-            raise FieldMismatchError(
-                f"{first[0]} and {name} lie in different quadratic fields "
-                f"(sqrt({first[1]}), sqrt({value.d}))"
+            raise FieldMismatchError.named(
+                (first[0], name),
+                f"lie in different quadratic fields (sqrt({first[1]}), sqrt({value.d}))",
             )
 
 

@@ -23,7 +23,7 @@ def _require_unit_interval(value: QuadraticReal, name: str, closed_left: bool):
     low = value.sign() >= 0 if closed_left else value.sign() > 0
     if not (low and (value - 1).sign() < 0):
         bracket = "[0, 1)" if closed_left else "(0, 1)"
-        raise ParameterError(f"{name} must lie in {bracket}")
+        raise ParameterError.named((name,), f"must lie in {bracket}")
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,9 @@ class RotationParams:
     x0: QuadraticReal
 
     def __post_init__(self):
-        if self.alpha.is_rational:
-            raise ParameterError("alpha must be irrational")
         require_same_field(("alpha", self.alpha), ("beta", self.beta), ("x0", self.x0))
+        if self.alpha.is_rational:
+            raise ParameterError.named(("alpha",), "must be irrational")
         _require_unit_interval(self.alpha, "alpha", closed_left=False)
         _require_unit_interval(self.beta, "beta", closed_left=False)
         _require_unit_interval(self.x0, "x0", closed_left=True)

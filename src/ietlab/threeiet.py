@@ -45,21 +45,19 @@ class ThreeIetParams:
         epsilon, ell, x0 = self.epsilon, self.ell, self.x0
         require_same_field(("epsilon", epsilon), ("ell", ell), ("x0", x0))
         if epsilon.is_rational:
-            raise ParameterError("epsilon must be irrational (nonzero square-root part)")
+            raise ParameterError.named(("epsilon",), "must be irrational",
+                                       "nonzero square-root part")
         _require_unit_interval(epsilon, "epsilon", closed_left=False)
         one_minus = 1 - epsilon
         larger = epsilon if (epsilon - one_minus).sign() >= 0 else one_minus
+        ell_range = "must satisfy max(epsilon, 1 - epsilon) < ell < 1"
         if (ell - larger).sign() <= 0:
-            raise ParameterError(
-                "ell must satisfy max(epsilon, 1 - epsilon) < ell < 1 "
-                "(ell <= max(epsilon, 1 - epsilon))"
-            )
+            raise ParameterError.named(("ell",), ell_range, "ell <= max(epsilon, 1 - epsilon)",
+                                       ("max(epsilon, 1 - epsilon)", larger))
         if (ell - 1).sign() >= 0:
-            raise ParameterError(
-                "ell must satisfy max(epsilon, 1 - epsilon) < ell < 1 (ell >= 1)"
-            )
+            raise ParameterError.named(("ell",), ell_range, "ell >= 1")
         if x0.sign() < 0 or (x0 - ell).sign() >= 0:
-            raise ParameterError("x0 must lie in [0, ell)")
+            raise ParameterError.named(("x0",), "must lie in [0, ell)", limit=("ell", ell))
 
     @property
     def boundary_ab(self) -> QuadraticReal:

@@ -499,17 +499,6 @@ def test_bounds_without_a_period_refused_in_time(capsys, argv):
                                        "not found; the largest coefficient would not be exact\n")
 
 
-@pytest.mark.parametrize("argv, message", [
-    (("--eps", "1/2"), "epsilon must be irrational"),
-    (("--eps", "(1+1*sqrt(5))/2"), "epsilon must lie in (0, 1)"),
-    (("--eps", GOLDEN_EPS, "--x0", "1"), "x0 must lie in [0, 1)"),
-    (("--eps", GOLDEN_EPS, "--x0", "(0+1*sqrt(2))/2"),
-     "--eps and --x0 lie in different quadratic fields (sqrt(5), sqrt(2))"),
-])
-def test_sturmian_parameters_refused(capsys, argv, message):
-    assert run(capsys, "generate", "sturmian", *argv, "-N", "5") == (2, "", f"error: {message}\n")
-
-
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["generate"])
@@ -767,7 +756,7 @@ CONVERGENCE = ("experiment", "index-convergence", "--eps", GOLDEN_EPS, "--ell", 
 ENDS = "is needed, but the partial quotients end at"
 NO_PERIOD = ("the continued-fraction period of epsilon was not found; the largest "
              "coefficient would not be exact")
-ELL_LOW = "ell must satisfy max(epsilon, 1 - epsilon) < ell < 1 (ell <= max(epsilon, 1 - epsilon))"
+ELL_RANGE = "--ell: must satisfy max(epsilon, 1 - epsilon) < ell < 1"
 PAST_CAP = ("--file: the word, with any blank lines before it, is longer than {} characters, "
             "the most that the {} MiB memory limit and the runs engine allow")
 REFUSALS = {
@@ -933,35 +922,41 @@ REFUSALS = {
                       "--eps and --x0 lie in different quadratic fields (sqrt(5), sqrt(2))"),
     "field-grid": (("experiment", "bounds-grid", "--eps", f"{GOLDEN_EPS},{SILVER_EPS}", "--ell",
                     "(1+1*sqrt(5))/4", "-N", "100"),
-                   "--eps and --ell lie in different quadratic fields (sqrt(2), sqrt(5))"),
+                   "--eps and --ell lie in different quadratic fields (sqrt(2), sqrt(5)) at --eps "
+                   f"{SILVER_EPS} --ell (1+1*sqrt(5))/4"),
     # 3iet parameters
     "3iet-rational-eps": (("generate", "3iet", "--eps", "2/5", "--ell", "4/5", "-N", "7"),
-                          "epsilon must be irrational (nonzero square-root part)"),
+                          "--eps: must be irrational (got 2/5)"),
     "3iet-eps-past-one": (("generate", "3iet", "--eps", "(1+1*sqrt(5))/2", "--ell", "4/5", "-N",
-                           "7"), "epsilon must lie in (0, 1)"),
-    "3iet-ell-low": (("generate", "3iet", "--eps", GOLDEN_EPS, "--ell", "3/5", "-N", "7"), ELL_LOW),
+                           "7"), "--eps: must lie in (0, 1) (got (1+1*sqrt(5))/2)"),
+    "3iet-ell-low": (("generate", "3iet", "--eps", GOLDEN_EPS, "--ell", "3/5", "-N", "7"),
+                     f"{ELL_RANGE} (got 3/5, where max(epsilon, 1 - epsilon) = {GOLDEN_EPS})"),
     "3iet-ell-one": (("generate", "3iet", "--eps", GOLDEN_EPS, "--ell", "1", "-N", "7"),
-                     "ell must satisfy max(epsilon, 1 - epsilon) < ell < 1 (ell >= 1)"),
-    "3iet-x0": ((*G3, "--x0", "4/5", "-N", "7"), "x0 must lie in [0, ell)"),
+                     f"{ELL_RANGE} (got 1)"),
+    "3iet-x0": ((*G3, "--x0", "4/5", "-N", "7"),
+                "--x0: must lie in [0, ell) (got 4/5, where ell = 4/5)"),
     "3iet-grid-before-running": (("experiment", "bounds-grid", "--eps", "(0+1*sqrt(2))/2", "--ell",
-                                  "7/10,4/5", "-N", "100"), ELL_LOW),
+                                  "7/10,4/5", "-N", "100"),
+                                 f"{ELL_RANGE} (got 7/10, where max(epsilon, 1 - epsilon) = "
+                                 "(0+1*sqrt(2))/2) at --eps (0+1*sqrt(2))/2 --ell 7/10"),
     "3iet-convergence": (("experiment", "index-convergence", "--eps", GOLDEN_EPS, "--ell", "1/2",
-                          "--lengths", "10"), ELL_LOW),
+                          "--lengths", "10"),
+                         f"{ELL_RANGE} (got 1/2, where max(epsilon, 1 - epsilon) = {GOLDEN_EPS})"),
     # rotation and Sturmian parameters
     "rotation-rational-alpha": (("generate", "rotation", "--alpha", "1/3", "--beta", "1/2", "-N",
-                                 "5"), "alpha must be irrational"),
+                                 "5"), "--alpha: must be irrational (got 1/3)"),
     "rotation-alpha": (("generate", "rotation", "--alpha", "(1+1*sqrt(2))/1", "--beta", "1/2",
-                        "-N", "5"), "alpha must lie in (0, 1)"),
+                        "-N", "5"), "--alpha: must lie in (0, 1) (got (1+1*sqrt(2))/1)"),
     "rotation-beta": (("generate", "rotation", "--alpha", SILVER_EPS, "--beta", "1", "-N", "5"),
-                      "beta must lie in (0, 1)"),
+                      "--beta: must lie in (0, 1) (got 1)"),
     "rotation-x0": (("generate", "rotation", "--alpha", SILVER_EPS, "--beta", "1/2", "--x0", "1",
-                     "-N", "5"), "x0 must lie in [0, 1)"),
+                     "-N", "5"), "--x0: must lie in [0, 1) (got 1)"),
     "sturmian-rational": (("generate", "sturmian", "--eps", "1/2", "-N", "5"),
-                          "epsilon must be irrational"),
+                          "--eps: must be irrational (got 1/2)"),
     "sturmian-eps": (("generate", "sturmian", "--eps", "(1+1*sqrt(5))/2", "-N", "5"),
-                     "epsilon must lie in (0, 1)"),
+                     "--eps: must lie in (0, 1) (got (1+1*sqrt(5))/2)"),
     "sturmian-x0": (("generate", "sturmian", "--eps", GOLDEN_EPS, "--x0", "1", "-N", "5"),
-                    "x0 must lie in [0, 1)"),
+                    "--x0: must lie in [0, 1) (got 1)"),
     # --cf, --eps and --level
     "cf-not-integers": (("generate", "characteristic", "--cf", "0,a", "-N", "5"),
                         "--cf: coefficients must be integers"),
